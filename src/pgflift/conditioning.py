@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, perm
+from math import perm
 from typing import Optional, Sequence, Tuple
 
 from .core import (
@@ -165,12 +165,23 @@ def pgf_of_Y(
 ) -> "TruncatedSeries":
     """Generating function of the observation Y = image(X) on the box [0, target].
 
+    Poisson, and multinomials with no support cap below trials, expand their
+    closed-form factors directly in the target box (`image_pgf`). Tables, and
+    multinomials whose caps below trials couple the cells, push the source
+    terms of `dist.pgf` through the matrix instead.
+
     Every retained coefficient is exact (up to the source truncation already
     implied by target and support_bounds): the coefficient at k <= target is
     P(Y = k), restricted to the capped support when support_bounds is given.
     """
     target = check_exponents(target)
     bounds = effective_source_bounds(dist, matrix, target, support_bounds)
+    if isinstance(dist, Poisson):
+        return dist.image_pgf(matrix, target, bounds)
+    if isinstance(dist, Multinomial) and all(
+        cap >= dist.trials for cap in support_bounds or ()
+    ):
+        return dist.image_pgf(matrix, target)
     # coverage is vouched for: `bounds` already contains every fiber point
     # of every k <= target (or the caller's deliberate cap)
     return monomial_substitute(
@@ -244,6 +255,26 @@ def conditional_factorial_moment(
     return numerator / denominator
 
 
+def _shifted_ratio(dist, shifted, prefactor, matrix, query):
+    """prefactor * [z^(target - image(orders))] G_Y' / [z^target] G_Y, the
+    shape both closed forms share. Y' = image(X') for `shifted`, the law of the
+    source with the orders taken out, capped at support_bounds - orders. The
+    ratio is exactly 0 when `shifted` is None or the shifted target or caps go
+    negative."""
+    target, orders, caps = query.target, query.orders, query.support_bounds
+    denominator = pgf_of_Y(dist, matrix, target, caps).coefficient(target)
+    if denominator == 0:
+        bounds = effective_source_bounds(dist, matrix, target, caps)
+        _raise_for_vanishing_denominator(matrix, target, bounds)
+    shift = monomial_image(matrix, orders)
+    reduced_target = tuple(k - a for k, a in zip(target, shift))
+    reduced_caps = None if caps is None else tuple(b - s for b, s in zip(caps, orders))
+    if shifted is None or min(reduced_target + (reduced_caps or ())) < 0:
+        return 0 * denominator  # a zero of the coefficient type
+    numerator = pgf_of_Y(shifted, matrix, reduced_target, reduced_caps)
+    return prefactor * numerator.coefficient(reduced_target) / denominator
+
+
 def poisson_conditional_moment(
     dist: Poisson,
     matrix: TransformMatrix,
@@ -253,50 +284,17 @@ def poisson_conditional_moment(
 
     E[falling-factorial product | Y = target] equals
     prod_r rate_r**orders[r] * P(Y = target - image(orders)) / P(Y = target),
-    and is exactly 0 whenever any component of target - image(orders) is
-    negative. Both probabilities come out of the same Y-series when there is
-    no support cap; a cap shifts the numerator's support by `orders`, so that
-    case builds its own capped Y-series.
+    two coefficient reads of target-box pgfs of the same Poisson law (the
+    numerator's support caps, if any, lowered by `orders`). Exactly 0
+    whenever any component of target - image(orders) is negative.
     """
     if not isinstance(dist, Poisson):
         raise TypeError("poisson_conditional_moment needs a Poisson distribution")
-    target, orders = query.target, query.orders
-    _check_shapes(dist, matrix, target, orders, query.support_bounds)
-    shift = monomial_image(matrix, orders)
-    reduced_target = tuple(k - a for k, a in zip(target, shift))
-    denominator = pgf_of_Y(dist, matrix, target, query.support_bounds).coefficient(
-        target
-    )
-    if denominator == 0:
-        bounds = effective_source_bounds(dist, matrix, target, query.support_bounds)
-        _raise_for_vanishing_denominator(matrix, target, bounds)
-    if any(k < 0 for k in reduced_target):
-        return 0.0
+    _check_shapes(dist, matrix, query.target, query.orders, query.support_bounds)
     prefactor = 1.0
-    for rate, s in zip(dist.rates, orders):
+    for rate, s in zip(dist.rates, query.orders):
         prefactor *= rate**s
-    if query.support_bounds is None:
-        # same series as the denominator: reduced_target <= target
-        numerator = pgf_of_Y(dist, matrix, target).coefficient(reduced_target)
-    else:
-        reduced_caps = tuple(b - s for b, s in zip(query.support_bounds, orders))
-        if any(b < 0 for b in reduced_caps):
-            return 0.0
-        numerator = pgf_of_Y(dist, matrix, reduced_target, reduced_caps).coefficient(
-            reduced_target
-        )
-    return prefactor * numerator / denominator
-
-
-def _bounded_compositions(total, caps):
-    """All tuples j >= 0 with sum(j) == total and j <= caps, componentwise."""
-    if len(caps) == 1:
-        if total <= caps[0]:
-            yield (total,)
-        return
-    for v in range(min(total, caps[0]) + 1):
-        for rest in _bounded_compositions(total - v, caps[1:]):
-            yield (v,) + rest
+    return _shifted_ratio(dist, dist, prefactor, matrix, query)
 
 
 def multinomial_conditional_moment(
@@ -307,57 +305,25 @@ def multinomial_conditional_moment(
     """Closed form for a multinomial source, exact in rational arithmetic.
 
     Shifting the fiber by `orders` turns the factorial-moment numerator into
-    trials!/(trials-total_order)! * prod_r p_r**orders[r] times the mass the
-    shifted multinomial puts on the shifted fiber; both that mass and the
-    denominator P(Y = target) are finite sums enumerated directly, with no
-    series machinery involved. Returns exactly 0 when the orders sum past the
-    trial count.
+    trials!/(trials-total_order)! * prod_r p_r**orders[r] times the mass that
+    Multinomial(trials - total_order) puts on the shifted target, with the
+    support caps lowered by `orders`. Numerator mass and the denominator
+    P(Y = target) are two coefficient reads of target-box pgfs. Returns
+    exactly 0 when the orders sum past the trial count.
     """
     if not isinstance(dist, Multinomial):
         raise TypeError("multinomial_conditional_moment needs a Multinomial distribution")
-    target, orders = query.target, query.orders
-    _check_shapes(dist, matrix, target, orders, query.support_bounds)
-    d = dist.dim
-    caps = (
-        (dist.trials,) * d
-        if query.support_bounds is None
-        else tuple(min(dist.trials, b) for b in query.support_bounds)
+    _check_shapes(dist, matrix, query.target, query.orders, query.support_bounds)
+    total_order = sum(query.orders)
+    shifted = (
+        Multinomial(dist.trials - total_order, dist.probs)
+        if total_order <= dist.trials
+        else None
     )
-
-    denominator = Fraction(0)
-    for j in _bounded_compositions(dist.trials, caps):
-        if monomial_image(matrix, j) == target:
-            denominator += dist.pmf(j)
-    if denominator == 0:
-        # classify against the same box lattice the generic path uses, so
-        # both paths raise the same error for the same query
-        bounds = effective_source_bounds(dist, matrix, target, query.support_bounds)
-        _raise_for_vanishing_denominator(matrix, target, bounds)
-
-    total_order = sum(orders)
-    if total_order > dist.trials:
-        return Fraction(0)
-    shift = monomial_image(matrix, orders)
-    reduced_target = tuple(k - a for k, a in zip(target, shift))
-    if any(k < 0 for k in reduced_target):
-        return Fraction(0)
     prefactor = Fraction(perm(dist.trials, total_order))
-    for p, s in zip(dist.probs, orders):
+    for p, s in zip(dist.probs, query.orders):
         prefactor *= p**s
-    reduced_caps = tuple(c - s for c, s in zip(caps, orders))
-    if any(c < 0 for c in reduced_caps):
-        return Fraction(0)
-    shifted_mass = Fraction(0)
-    remaining = dist.trials - total_order
-    for j in _bounded_compositions(remaining, reduced_caps):
-        if monomial_image(matrix, j) == reduced_target:
-            coeff = factorial(remaining)
-            weight = Fraction(1)
-            for p, x in zip(dist.probs, j):
-                coeff //= factorial(x)
-                weight *= p**x
-            shifted_mass += coeff * weight
-    return prefactor * shifted_mass / denominator
+    return _shifted_ratio(dist, shifted, prefactor, matrix, query)
 
 
 def closed_form_moment(

@@ -2,7 +2,9 @@
 
 Each distribution knows its dimension, its natural coefficient mode, how to
 build its probability generating function on a degree box, and how to
-evaluate its pmf pointwise. The pgf path feeds the series pipeline; the pmf
+evaluate its pmf pointwise. Poisson and multinomial also expand the
+generating function of an aggregate image(X) from their closed-form factors,
+directly in the target box. The pgf paths feed the series pipeline; the pmf
 path exists so that brute-force verification can price outcomes without
 touching any series code.
 
@@ -86,25 +88,53 @@ class Poisson:
             out = out * exp_truncated(TruncatedSeries(box, FLOAT, arg_terms))
         return out
 
+    def image_pgf(self, matrix, target, bounds) -> TruncatedSeries:
+        """Generating function of image(X) on [0, target], X confined to [0, bounds].
+
+        The product over r of exp(rate_r * (t_r - 1)), each factor truncated
+        at degree bounds[r] and substituted t_r -> z^(column r) before any
+        expansion. The factors are independent, so truncating each one is
+        exactly confining X to the box; a zero column contributes the scalar
+        P(X_r <= bounds[r]).
+        """
+        box = check_bounds(bounds, self.dim)
+        out = TruncatedSeries.one(target, FLOAT)
+        for rate, b, column in zip(self.rates, box, zip(*matrix.rows)):
+            # rate**x / x! by recurrence, scaled by exp(-rate) at the end, as
+            # exp_truncated does in Poisson.pgf
+            scale, weight, factor = math.exp(-rate), 1.0, {}
+            for x in range(b + 1):
+                k = tuple(a * x for a in column)
+                if not within_box(k, target):
+                    break
+                factor[k] = factor.get(k, 0.0) + scale * weight
+                weight = weight * rate * (1.0 / (x + 1))
+            out = out * TruncatedSeries(target, FLOAT, factor)
+        return out
+
     def pmf(self, outcome: Sequence[int]) -> float:
         j = check_exponents(outcome)
         if len(j) != self.dim:
             raise ValueError(f"outcome has length {len(j)}, expected {self.dim}")
-        p = 1.0
-        for rate, x in zip(self.rates, j):
-            p *= math.exp(-rate) * rate**x / math.factorial(x)
-        return p
+        return math.exp(
+            math.fsum(_poisson_log_pmf(rate, x) for rate, x in zip(self.rates, j))
+        )
 
     def tail_mass(self, bounds: Sequence[int]) -> float:
         """Probability mass outside the box, i.e. 1 - prod_r P(count_r <= bound_r)."""
         box = check_bounds(bounds, self.dim)
         inside = 1.0
         for rate, b in zip(self.rates, box):
-            cdf = math.exp(-rate) * math.fsum(
-                rate**x / math.factorial(x) for x in range(b + 1)
+            cdf = math.fsum(
+                math.exp(_poisson_log_pmf(rate, x)) for x in range(b + 1)
             )
             inside *= min(cdf, 1.0)
         return 1.0 - inside
+
+
+def _poisson_log_pmf(rate: float, x: int) -> float:
+    # in log space: rate**x and x! overflow a float long before their ratio does
+    return x * math.log(rate) - rate - math.lgamma(x + 1)
 
 
 @dataclass(frozen=True)
@@ -140,33 +170,36 @@ class Multinomial:
         return (self.trials,) * self.dim
 
     def pgf(self, bounds: Optional[Sequence[int]] = None) -> TruncatedSeries:
-        """(p_1 t_1 + ... + p_d t_d) ** trials by binary powering.
-
-        Truncated products stay exact on the box: exponents only grow, so a
-        discarded intermediate term can never re-enter the box later.
-        """
+        """(p_1 t_1 + ... + p_d t_d) ** trials, truncated to the box."""
         box = (
             self.support_bound()
             if bounds is None
             else check_bounds(bounds, self.dim)
         )
+        units = [tuple(int(i == r) for i in range(self.dim)) for r in range(self.dim)]
+        return self._base_power(units, box)
+
+    def image_pgf(self, matrix, target) -> TruncatedSeries:
+        """Generating function of image(X) on [0, target]:
+        (p_1 z^(column 1) + ... + p_d z^(column d)) ** trials, expanded in the
+        target box only."""
+        return self._base_power(zip(*matrix.rows), target)
+
+    def _base_power(self, monomials, box) -> TruncatedSeries:
+        """(sum_r p_r x^(monomials[r])) ** trials on the box, by `trials`
+        multiplications by the short base: squaring would multiply two series
+        each about as long as the result. Truncated products stay exact on the
+        box: exponents only grow, so a discarded intermediate term can never
+        re-enter the box later."""
         base_terms = {}
-        for r, p in enumerate(self.probs):
-            unit = tuple(1 if i == r else 0 for i in range(self.dim))
-            # a zero bound in coordinate r excludes cell r from the box entirely
-            if within_box(unit, box):
-                base_terms[unit] = p
+        for p, m in zip(self.probs, monomials):
+            if within_box(m, box):
+                base_terms[m] = base_terms.get(m, 0) + p
         base = TruncatedSeries(box, EXACT, base_terms)
-        result = TruncatedSeries.one(box, EXACT)
-        square = base
-        n = self.trials
-        while n:
-            if n & 1:
-                result = result * square
-            n >>= 1
-            if n:
-                square = square * square
-        return result
+        out = TruncatedSeries.one(box, EXACT)
+        for _ in range(self.trials):
+            out = out * base
+        return out
 
     def pmf(self, outcome: Sequence[int]) -> Fraction:
         j = check_exponents(outcome)

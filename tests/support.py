@@ -6,8 +6,27 @@ instance counts are exact (the acceptance gate promises minimum counts).
 
 from fractions import Fraction
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
+import pgflift
 from pgflift import EXACT, TransformMatrix, TruncatedSeries, enumerate_fiber
+
+
+def run_cli(*argv):
+    """`python -m pgflift.cli *argv` in a subprocess that imports the same
+    pgflift as the tests, also when pytest's pythonpath is what found it.
+    Returns (exit code, stdout bytes, stderr bytes)."""
+    src = str(pathlib.Path(pgflift.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgflift.cli", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def random_fraction(rng, lo=-5, hi=5, max_den=6):

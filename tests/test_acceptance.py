@@ -7,8 +7,6 @@ every minimum instance count promised below is asserted, not aspirational.
 import math
 import pathlib
 import random
-import subprocess
-import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -33,6 +31,7 @@ from pgflift import (
 
 from support import (
     attainable_targets,
+    run_cli,
     fiber_sum_series,
     pushforward_case,
     random_matrix,
@@ -218,13 +217,6 @@ def test_criterion_6_series_ring_properties():
 
 
 def test_criterion_7_cli_determinism():
-    def run_cli(*argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "pgflift.cli", *argv],
-            capture_output=True,
-        )
-        return proc.returncode, proc.stdout
-
     with criterion(7, "machine output is byte-identical across runs"):
         for name, expected_code in (
             ("golden_multinomial", 0),
@@ -232,8 +224,8 @@ def test_criterion_7_cli_determinism():
             ("golden_poisson", 0),
         ):
             args = ("--config", str(DATA / f"{name}.json"), "--verify")
-            first = run_cli(*args)
-            second = run_cli(*args)
+            first = run_cli(*args)[:2]
+            second = run_cli(*args)[:2]
             assert first == second
             assert first[0] == expected_code
             frozen = DATA / f"{name}.expected.jsonl"

@@ -1,26 +1,17 @@
 import json
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
 from pgflift.cli import ConfigError, main, parse_config, render_human, render_machine, run
+
+from support import run_cli as cli
 
 DATA = pathlib.Path(__file__).parent / "data"
 
 
 def read(name):
     return (DATA / name).read_text(encoding="utf-8")
-
-
-def cli(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "pgflift.cli", *argv],
-        capture_output=True,
-        text=False,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestParseConfig:

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgflift import (
     EXACT,
     ConditionalQuery,
     EmptyFiber,
+    FiberError,
     Multinomial,
     Poisson,
     Table,
@@ -20,6 +22,7 @@ from pgflift import (
     conditional_pmf,
     effective_source_bounds,
     enumerate_fiber,
+    monomial_substitute,
     multinomial_conditional_moment,
     oracle_conditional_moment,
     pgf_of_Y,
@@ -57,6 +60,90 @@ class TestPgfOfY:
             assert g.coefficient(k) == sum(
                 (dist.pmf(j) for j in fiber), Fraction(0)
             )
+
+
+@st.composite
+def target_box_cases(draw):
+    """(dist, matrix, target, support_bounds, orders) over small shapes, with
+    zero columns, zero rows, zero-probability cells, trials=0 and caps below,
+    at and above the trial count. Zero columns of a Poisson get a cap."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    matrix = TransformMatrix(
+        draw(st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                      min_size=m, max_size=m))
+    )
+    family = draw(st.sampled_from(["poisson", "multinomial", "table"]))
+    if family == "poisson":
+        dist = Poisson(draw(st.lists(st.floats(0.1, 4.0), min_size=d, max_size=d)))
+    elif family == "multinomial":
+        weights = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)
+                       .filter(any))
+        dist = Multinomial(
+            draw(st.integers(0, 5)), [Fraction(w, sum(weights)) for w in weights]
+        )
+    else:
+        outcomes = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * d), st.integers(0, 3),
+            min_size=1, max_size=6,
+        ).filter(lambda e: any(e.values())))
+        total = sum(outcomes.values())
+        dist = Table({j: Fraction(w, total) for j, w in outcomes.items()})
+    caps = draw(st.none() | st.tuples(*[st.integers(0, 6)] * d))
+    if caps is None and family == "poisson" and matrix.zero_columns():
+        caps = draw(st.tuples(*[st.integers(0, 6)] * d))
+    target = draw(st.tuples(*[st.integers(0, 6)] * m))
+    orders = draw(st.tuples(*[st.integers(0, 2)] * d))
+    return dist, matrix, target, caps, orders
+
+
+class TestTargetBoxRoute:
+    @given(target_box_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pushing_the_source_pgf(self, case):
+        dist, matrix, target, caps, _ = case
+        got = pgf_of_Y(dist, matrix, target, caps)
+        bounds = effective_source_bounds(dist, matrix, target, caps)
+        want = monomial_substitute(
+            dist.pgf(bounds), matrix, target, check_coverage=False
+        )
+        if isinstance(dist, Poisson):
+            assert (got.bounds, got.mode) == (want.bounds, want.mode)
+            for k in set(got.terms) | set(want.terms):
+                assert got.terms.get(k, 0.0) == pytest.approx(
+                    want.terms.get(k, 0.0), rel=1e-12, abs=0.0
+                )
+        else:
+            assert got == want
+
+    @given(target_box_cases().filter(lambda case: not isinstance(case[0], Table)))
+    @settings(max_examples=150, deadline=None)
+    def test_closed_forms_match_the_oracle(self, case):
+        dist, matrix, target, caps, orders = case
+        query = ConditionalQuery(target, orders, caps)
+        try:
+            want = oracle_conditional_moment(dist, matrix, query)
+        except FiberError as err:
+            with pytest.raises(type(err)):
+                closed_form_moment(dist, matrix, query)
+            return
+        got = closed_form_moment(dist, matrix, query)
+        if isinstance(dist, Multinomial):
+            assert got == want
+        else:
+            _assert_close(got, want)
+
+    def test_baseline_scale_multinomial(self):
+        # N=30 over a 16x16 target box; the generic leg is left out because it
+        # expands the 4-variable source box
+        dist = Multinomial(30, [Fraction(1, 4)] * 4)
+        matrix = TransformMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])
+        g = pgf_of_Y(dist, matrix, (15, 15))
+        assert g.coefficient((15, 15)) == Fraction(9694845, 67108864)
+        query = ConditionalQuery((15, 15), (1, 1, 0, 0))
+        closed = multinomial_conditional_moment(dist, matrix, query)
+        assert closed == oracle_conditional_moment(dist, matrix, query)
+        assert closed == Fraction(105, 2)
 
 
 class TestConditionalPmf:

@@ -45,6 +45,15 @@ class TestPoisson:
         assert reported == pytest.approx(direct, rel=1e-12)
         assert reported > 1e-3
 
+    def test_pmf_and_tail_mass_survive_large_rates(self):
+        # rate**x and x! each overflow a float here, their ratio does not
+        dist = Poisson([300.0])
+        p = dist.pmf((300,))
+        assert math.isfinite(p) and p > 0
+        assert dist.pmf((301,)) / p == pytest.approx(300.0 / 301.0, rel=1e-12)
+        tail = Poisson([300.0, 300.0]).tail_mass((400, 400))
+        assert 0.0 <= tail <= 1.0
+
     def test_log_concavity_of_univariate_marginals(self):
         for rate in (0.3, 1.0, 2.7, 6.0):
             g = Poisson([rate]).pgf((12,))

@@ -111,6 +111,14 @@ class TestOracleMoment:
         )
         assert e == Fraction(1)
 
+    def test_large_poisson_rates_do_not_overflow(self):
+        got = oracle_conditional_moment(
+            Poisson([300.0, 300.0]),
+            TransformMatrix([[1, 1]]),
+            ConditionalQuery((600,), (1, 0)),
+        )
+        assert got == pytest.approx(300.0, rel=1e-9)
+
     def test_errors_match_the_taxonomy(self):
         with pytest.raises(EmptyFiber):
             oracle_conditional_moment(
