@@ -22,7 +22,7 @@ from .core import (
     fiber_degree_bounds,
     monomial_image,
 )
-from .series import TruncatedSeries, exp_truncated, format_coefficient, linear_combine
+from .series import TruncatedSeries, exp_truncated
 from .transform import joint_pgf, monomial_substitute
 from .distributions import Distribution, Multinomial, Poisson, Table, to_fraction
 from .conditioning import (
@@ -63,9 +63,7 @@ __all__ = [
     "enumerate_fiber",
     "exp_truncated",
     "fiber_degree_bounds",
-    "format_coefficient",
     "joint_pgf",
-    "linear_combine",
     "monomial_image",
     "monomial_substitute",
     "multinomial_conditional_moment",

@@ -4,8 +4,9 @@ A job is a JSON file: one matrix, one distribution, a list of conditioning
 queries. The report goes to stdout either as aligned human-readable text or
 as machine-readable JSON lines (one record per query, keys sorted, exact
 coefficients as "num/den" strings), so runs are reproducible byte for byte
-in exact mode. Computational failures are reported per query and never
-abort the siblings; config problems abort before any computation.
+in exact mode. Each query is answered from one per-query solve (see `run`).
+Computational failures are reported per query and never abort the
+siblings; config problems abort before any computation.
 
 Exit status: 0 all queries succeeded, 1 at least one query failed,
 2 the config itself was rejected.
@@ -21,17 +22,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .conditioning import (
-    ConditionalQuery,
-    closed_form_moment,
-    conditional_factorial_moment,
-    conditional_pmf,
-    effective_source_bounds,
-    pgf_of_Y,
-)
+from .conditioning import ConditionalQuery, FiberSolve
 from .core import EXACT, FLOAT, TransformMatrix
 from .distributions import Multinomial, Poisson, Table
-from .oracle import enumerate_fiber, oracle_conditional_moment
+from .oracle import oracle_conditional_moment
 
 FLOAT_DIGITS = 12  # significant digits in emitted floats
 
@@ -200,7 +194,10 @@ class Report:
 
 
 def run(job: JobConfig, verify: bool = False, max_pmf_rows: int = 10000) -> Report:
-    """Execute every query; failures land in the row, not in the caller."""
+    """Execute every query; failures land in the row, not in the caller,
+    which keeps the fields computed before the failure. Each query reads
+    every field off one `FiberSolve`, so its source pgf, joint series and
+    G_Y are built once; only the oracle, under `verify`, lists the fiber."""
     report = Report(mode=job.mode, verified=verify)
     for idx, (query, want_pmf) in enumerate(zip(job.queries, job.include_pmf)):
         row = {
@@ -218,17 +215,13 @@ def run(job: JobConfig, verify: bool = False, max_pmf_rows: int = 10000) -> Repo
         }
         report.rows.append(row)
         try:
-            box = effective_source_bounds(
+            solve = FiberSolve(
                 job.distribution, job.matrix, query.target, query.support_bounds
             )
-            fiber = enumerate_fiber(job.matrix, query.target, box)
-            row["fiber_size"] = len(fiber)
-            prob_y = pgf_of_Y(
-                job.distribution, job.matrix, query.target, query.support_bounds
-            ).coefficient(query.target)
-            row["prob_Y"] = _format_value(prob_y, job.mode)
-            generic = conditional_factorial_moment(job.distribution, job.matrix, query)
-            closed = closed_form_moment(job.distribution, job.matrix, query)
+            row["fiber_size"] = solve.fiber_size
+            row["prob_Y"] = _format_value(solve.prob_y, job.mode)
+            generic = solve.moment(query.orders)
+            closed = solve.closed_form(query.orders)
             oracle_value = (
                 oracle_conditional_moment(job.distribution, job.matrix, query)
                 if verify
@@ -240,10 +233,8 @@ def run(job: JobConfig, verify: bool = False, max_pmf_rows: int = 10000) -> Repo
             others = [v for v in (closed, oracle_value) if v is not None]
             if others:
                 row["agree"] = all(_values_agree(generic, v) for v in others)
-            if want_pmf and len(fiber) <= max_pmf_rows:
-                pmf = conditional_pmf(
-                    job.distribution, job.matrix, query.target, query.support_bounds
-                )
+            if want_pmf and solve.fiber_size <= max_pmf_rows:
+                pmf = solve.pmf()
                 row["pmf"] = [
                     [list(outcome), _format_value(pmf[outcome], job.mode)]
                     for outcome in sorted(pmf)
@@ -306,7 +297,8 @@ def main(argv=None) -> int:
         "--max-pmf-rows",
         type=int,
         default=10000,
-        help="suppress conditional pmf listings larger than this (default 10000)",
+        help="suppress a conditional pmf listing when the fiber's lattice count "
+        "exceeds this (default 10000)",
     )
     args = parser.parse_args(argv)
 

@@ -16,15 +16,16 @@ Factorial moments, not raw moments: the source block is differentiated
 `orders[r]` times in variable r, which weights each fiber point j by the
 falling factorial j_r * (j_r - 1) * ... * (j_r - orders[r] + 1).
 
-All functions take the distribution of X, the matrix, and a target; the fiber
-is never materialized by this module (the brute-force oracle does that, on an
-entirely separate code path, for verification).
+`FiberSolve` builds one query's series once; everything here reads them.
+The fiber is counted, never listed (the brute-force oracle lists it, on a
+separate code path, for verification).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import perm
 from typing import Optional, Sequence, Tuple
 
@@ -36,6 +37,7 @@ from .core import (
     UnboundedFiber,
     ZeroProbability,
     check_exponents,
+    count_fiber,
     fiber_degree_bounds,
     monomial_image,
 )
@@ -125,36 +127,133 @@ def effective_source_bounds(
     return tuple(out)
 
 
-def _fiber_is_structurally_empty(matrix, target, bounds) -> bool:
-    """True when image(j) == target has no solution with 0 <= j <= bounds."""
+class FiberSolve:
+    """The series of one query (a target and optional support caps), each
+    built at most once, on first use: `source` is dist.pgf on the effective
+    box (released once `joint` and `g_y` exist), `joint` tags its terms with
+    their images for the generic moment and the pmf, and `g_y` is the pgf of
+    Y on [0, target], whose coefficient `prob_y` = P(Y = target) is every
+    denominator. `fiber_size` counts the fiber. One joint series answers all
+    orders. The effective box holds every fiber point of every k <= target
+    (or the caller's cap), so no build re-checks coverage."""
 
-    def walk(r, residual):
-        if r == matrix.num_sources:
-            return all(x == 0 for x in residual)
-        col = matrix.column(r)
-        hi = bounds[r]
-        for i, a in enumerate(col):
-            if a > 0:
-                hi = min(hi, residual[i] // a)
-        for v in range(hi + 1):
-            nxt = tuple(x - v * a for x, a in zip(residual, col))
-            if walk(r + 1, nxt):
-                return True
-        return False
+    def __init__(
+        self,
+        dist: Distribution,
+        matrix: TransformMatrix,
+        target: Sequence[int],
+        support_bounds: Optional[Sequence[int]] = None,
+    ):
+        self.dist, self.matrix, self.support_bounds = dist, matrix, support_bounds
+        self.target = check_exponents(target)
+        self.bounds = effective_source_bounds(dist, matrix, self.target, support_bounds)
 
-    return not walk(0, tuple(target))
+    @cached_property
+    def fiber_size(self) -> int:
+        return count_fiber(self.matrix, self.target, self.bounds)
 
+    @cached_property
+    def source(self) -> "TruncatedSeries":
+        return self.dist.pgf(self.bounds)
 
-def _raise_for_vanishing_denominator(matrix, target, bounds):
-    if _fiber_is_structurally_empty(matrix, target, bounds):
-        raise EmptyFiber(
-            f"no nonnegative integer solution of image(j) == {tuple(target)} "
-            f"within {tuple(bounds)}"
+    @cached_property
+    def joint(self) -> "TruncatedSeries":
+        joint = joint_pgf(
+            self.source, self.matrix, self.bounds, self.target, check_coverage=False
         )
-    raise ZeroProbability(
-        f"the event image(X) == {tuple(target)} has zero probability "
-        "(solutions exist but carry no mass)"
-    )
+        if "g_y" in self.__dict__:
+            del self.source  # both of its readers are built
+        return joint
+
+    @cached_property
+    def g_y(self) -> "TruncatedSeries":
+        """Poisson, and multinomials with no cap below trials, expand their
+        factors in the target box (`image_pgf`); Tables, and multinomials
+        whose caps couple the cells, push the terms of `source` instead."""
+        dist, matrix, target = self.dist, self.matrix, self.target
+        if isinstance(dist, Poisson):
+            return dist.image_pgf(matrix, target, self.bounds)
+        if isinstance(dist, Multinomial) and all(
+            cap >= dist.trials for cap in self.support_bounds or ()
+        ):
+            return dist.image_pgf(matrix, target)
+        return monomial_substitute(self.source, matrix, target, check_coverage=False)
+
+    @cached_property
+    def prob_y(self):
+        return self.g_y.coefficient(self.target)
+
+    def _raise_vanishing(self):
+        if self.fiber_size == 0:
+            raise EmptyFiber(
+                f"no nonnegative integer solution of image(j) == {self.target} "
+                f"within {self.bounds}"
+            )
+        raise ZeroProbability(
+            f"the event image(X) == {self.target} has zero probability "
+            "(solutions exist but carry no mass)"
+        )
+
+    def _denominator(self):
+        if self.prob_y == 0:
+            self._raise_vanishing()
+        return self.prob_y
+
+    def moment(self, orders: Sequence[int]):
+        """See conditional_factorial_moment."""
+        _check_shapes(self.dist, self.matrix, self.target, orders)
+        denominator = self._denominator()  # first: g_y may need the source
+        joint = self.joint
+        for r, order in enumerate(orders):
+            if order:
+                joint = joint.partial_derivative(r, order)
+        d = self.matrix.num_sources
+        numerator = sum(
+            (c for e, c in joint.terms.items() if e[d:] == self.target),
+            Fraction(0) if joint.mode == EXACT else 0.0,
+        )
+        return numerator / denominator
+
+    def closed_form(self, orders: Sequence[int]):
+        """prefactor * [z^(target - image(orders))] G_Y' / [z^target] G_Y, for
+        the shifted law Y' of poisson_conditional_moment or
+        multinomial_conditional_moment; None for a family without one."""
+        dist = self.dist
+        _check_shapes(dist, self.matrix, self.target, orders)
+        if isinstance(dist, Poisson):
+            shifted, prefactor = dist, 1.0
+            for rate, s in zip(dist.rates, orders):
+                prefactor *= rate**s
+        elif isinstance(dist, Multinomial):
+            total_order = sum(orders)
+            shifted = (
+                Multinomial(dist.trials - total_order, dist.probs)
+                if total_order <= dist.trials
+                else None
+            )
+            prefactor = Fraction(perm(dist.trials, total_order))
+            for p, s in zip(dist.probs, orders):
+                prefactor *= p**s
+        else:
+            return None
+        denominator = self._denominator()
+        shift = monomial_image(self.matrix, orders)
+        reduced_target = tuple(k - a for k, a in zip(self.target, shift))
+        caps = self.support_bounds
+        reduced_caps = None if caps is None else tuple(b - s for b, s in zip(caps, orders))
+        if shifted is None or min(reduced_target + (reduced_caps or ())) < 0:
+            return 0 * denominator  # a zero of the coefficient type
+        numerator = pgf_of_Y(shifted, self.matrix, reduced_target, reduced_caps)
+        return prefactor * numerator.coefficient(reduced_target) / denominator
+
+    def pmf(self) -> dict:
+        """See conditional_pmf: the target block of the joint series, normalized."""
+        d = self.matrix.num_sources
+        hits = {e[:d]: c for e, c in self.joint.terms.items() if e[d:] == self.target}
+        if not hits:
+            self._raise_vanishing()
+        total = sum(hits.values())
+        return {j: c / total for j, c in hits.items()}
 
 
 def pgf_of_Y(
@@ -163,42 +262,10 @@ def pgf_of_Y(
     target: Sequence[int],
     support_bounds: Optional[Sequence[int]] = None,
 ) -> "TruncatedSeries":
-    """Generating function of the observation Y = image(X) on the box [0, target].
-
-    Poisson, and multinomials with no support cap below trials, expand their
-    closed-form factors directly in the target box (`image_pgf`). Tables, and
-    multinomials whose caps below trials couple the cells, push the source
-    terms of `dist.pgf` through the matrix instead.
-
-    Every retained coefficient is exact (up to the source truncation already
-    implied by target and support_bounds): the coefficient at k <= target is
-    P(Y = k), restricted to the capped support when support_bounds is given.
-    """
-    target = check_exponents(target)
-    bounds = effective_source_bounds(dist, matrix, target, support_bounds)
-    if isinstance(dist, Poisson):
-        return dist.image_pgf(matrix, target, bounds)
-    if isinstance(dist, Multinomial) and all(
-        cap >= dist.trials for cap in support_bounds or ()
-    ):
-        return dist.image_pgf(matrix, target)
-    # coverage is vouched for: `bounds` already contains every fiber point
-    # of every k <= target (or the caller's deliberate cap)
-    return monomial_substitute(
-        dist.pgf(bounds), matrix, target, check_coverage=False
-    )
-
-
-def _fiber_block(dist, matrix, target, support_bounds):
-    """Joint series terms split at the source/target seam, keeping only
-    terms whose target block equals `target`. Returns (bounds, {j: P(X=j)})."""
-    bounds = effective_source_bounds(dist, matrix, target, support_bounds)
-    joint = joint_pgf(
-        dist.pgf(bounds), matrix, bounds, target, check_coverage=False
-    )
-    d = matrix.num_sources
-    hits = {e[:d]: c for e, c in joint.terms.items() if e[d:] == tuple(target)}
-    return bounds, hits
+    """Generating function of Y = image(X) on the box [0, target]: the
+    coefficient at k is P(Y = k), on the capped support if support_bounds is
+    given. `FiberSolve.g_y` builds it."""
+    return FiberSolve(dist, matrix, target, support_bounds).g_y
 
 
 def conditional_pmf(
@@ -213,12 +280,7 @@ def conditional_pmf(
     is reachable only through zero-mass outcomes (which includes float-mode
     underflow of every fiber term).
     """
-    target = check_exponents(target)
-    bounds, hits = _fiber_block(dist, matrix, target, support_bounds)
-    if not hits:
-        _raise_for_vanishing_denominator(matrix, target, bounds)
-    total = sum(hits.values())
-    return {j: c / total for j, c in hits.items()}
+    return FiberSolve(dist, matrix, target, support_bounds).pmf()
 
 
 def conditional_factorial_moment(
@@ -233,46 +295,8 @@ def conditional_factorial_moment(
     and divides by P(Y = target). Works for any of the supported
     distributions; the closed forms below are fast paths for two of them.
     """
-    target, orders = query.target, query.orders
-    _check_shapes(dist, matrix, target, orders, query.support_bounds)
-    bounds = effective_source_bounds(dist, matrix, target, query.support_bounds)
-    joint = joint_pgf(
-        dist.pgf(bounds), matrix, bounds, target, check_coverage=False
-    )
-    for r, order in enumerate(orders):
-        if order:
-            joint = joint.partial_derivative(r, order)
-    d = matrix.num_sources
-    numerator = sum(
-        (c for e, c in joint.terms.items() if e[d:] == target),
-        Fraction(0) if joint.mode == EXACT else 0.0,
-    )
-    denominator = pgf_of_Y(dist, matrix, target, query.support_bounds).coefficient(
-        target
-    )
-    if denominator == 0:
-        _raise_for_vanishing_denominator(matrix, target, bounds)
-    return numerator / denominator
-
-
-def _shifted_ratio(dist, shifted, prefactor, matrix, query):
-    """prefactor * [z^(target - image(orders))] G_Y' / [z^target] G_Y, the
-    shape both closed forms share. Y' = image(X') for `shifted`, the law of the
-    source with the orders taken out, capped at support_bounds - orders. The
-    ratio is exactly 0 when `shifted` is None or the shifted target or caps go
-    negative."""
-    target, orders, caps = query.target, query.orders, query.support_bounds
-    denominator = pgf_of_Y(dist, matrix, target, caps).coefficient(target)
-    if denominator == 0:
-        bounds = effective_source_bounds(dist, matrix, target, caps)
-        _raise_for_vanishing_denominator(matrix, target, bounds)
-    shift = monomial_image(matrix, orders)
-    reduced_target = tuple(k - a for k, a in zip(target, shift))
-    reduced_caps = None if caps is None else tuple(b - s for b, s in zip(caps, orders))
-    if shifted is None or min(reduced_target + (reduced_caps or ())) < 0:
-        return 0 * denominator  # a zero of the coefficient type
-    numerator = pgf_of_Y(shifted, matrix, reduced_target, reduced_caps)
-    return prefactor * numerator.coefficient(reduced_target) / denominator
+    solve = FiberSolve(dist, matrix, query.target, query.support_bounds)
+    return solve.moment(query.orders)
 
 
 def poisson_conditional_moment(
@@ -290,11 +314,7 @@ def poisson_conditional_moment(
     """
     if not isinstance(dist, Poisson):
         raise TypeError("poisson_conditional_moment needs a Poisson distribution")
-    _check_shapes(dist, matrix, query.target, query.orders, query.support_bounds)
-    prefactor = 1.0
-    for rate, s in zip(dist.rates, query.orders):
-        prefactor *= rate**s
-    return _shifted_ratio(dist, dist, prefactor, matrix, query)
+    return closed_form_moment(dist, matrix, query)
 
 
 def multinomial_conditional_moment(
@@ -313,17 +333,7 @@ def multinomial_conditional_moment(
     """
     if not isinstance(dist, Multinomial):
         raise TypeError("multinomial_conditional_moment needs a Multinomial distribution")
-    _check_shapes(dist, matrix, query.target, query.orders, query.support_bounds)
-    total_order = sum(query.orders)
-    shifted = (
-        Multinomial(dist.trials - total_order, dist.probs)
-        if total_order <= dist.trials
-        else None
-    )
-    prefactor = Fraction(perm(dist.trials, total_order))
-    for p, s in zip(dist.probs, query.orders):
-        prefactor *= p**s
-    return _shifted_ratio(dist, shifted, prefactor, matrix, query)
+    return closed_form_moment(dist, matrix, query)
 
 
 def closed_form_moment(
@@ -332,8 +342,7 @@ def closed_form_moment(
     query: ConditionalQuery,
 ):
     """Dispatch to the family's closed form, or None when there is none."""
-    if isinstance(dist, Poisson):
-        return poisson_conditional_moment(dist, matrix, query)
-    if isinstance(dist, Multinomial):
-        return multinomial_conditional_moment(dist, matrix, query)
-    return None
+    if not isinstance(dist, (Poisson, Multinomial)):
+        return None
+    solve = FiberSolve(dist, matrix, query.target, query.support_bounds)
+    return solve.closed_form(query.orders)

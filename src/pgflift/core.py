@@ -108,8 +108,8 @@ class TransformMatrix:
     """Nonnegative integer matrix mapping source multi-indices to target ones.
 
     `rows[i][r]` is the weight of source coordinate r in target coordinate i.
-    The matrix acts on exponent vectors via `image` and on nothing else; it is
-    shape-validated at construction and immutable afterwards.
+    The matrix acts on exponent vectors via `monomial_image` and on nothing
+    else; it is shape-validated at construction and immutable afterwards.
     """
 
     rows: tuple
@@ -146,9 +146,6 @@ class TransformMatrix:
             r for r in range(self.num_sources) if all(row[r] == 0 for row in self.rows)
         )
 
-    def image(self, exponents: Sequence[int]) -> tuple:
-        return monomial_image(self, exponents)
-
 
 def monomial_image(matrix: TransformMatrix, exponents: Sequence[int]) -> tuple:
     """Push a source exponent vector forward: component i is sum_r a[i][r]*j[r].
@@ -184,3 +181,20 @@ def fiber_degree_bounds(matrix: TransformMatrix, target: Sequence[int]):
         caps = [k[i] // a for i, a in enumerate(col) if a > 0]
         bounds.append(min(caps) if caps else None)
     return bounds
+
+
+def count_fiber(matrix: TransformMatrix, target: Sequence[int], bounds: Sequence[int]) -> int:
+    """Number of j with image(j) == target and 0 <= j <= bounds: a dynamic
+    program over the source coordinates that keeps only the number of ways
+    to reach each residual target - partial image."""
+    ways = {tuple(target): 1}
+    for r, cap in enumerate(bounds):
+        col = matrix.column(r)
+        step = {}
+        for residual, n in ways.items():
+            hi = min([cap] + [x // a for x, a in zip(residual, col) if a > 0])
+            for v in range(hi + 1):
+                nxt = tuple(x - v * a for x, a in zip(residual, col))
+                step[nxt] = step.get(nxt, 0) + n
+        ways = step
+    return ways.get((0,) * matrix.num_targets, 0)

@@ -80,11 +80,6 @@ def enumerate_fiber(
     return out
 
 
-def _pmf(dist, outcome):
-    # textbook formulas; dist.pmf never touches series code
-    return dist.pmf(outcome)
-
-
 def _merged_caps(dist, support_bounds):
     natural = dist.support_bound()
     if support_bounds is None:
@@ -127,7 +122,7 @@ def oracle_conditional_moment(dist, matrix: TransformMatrix, query) -> "Fraction
     numerator = zero
     denominator = zero
     for j in fiber:
-        p = _pmf(dist, j)
+        p = dist.pmf(j)  # textbook formulas, no series code
         denominator += p
         weight = p
         for x, s in zip(j, orders):
@@ -152,7 +147,7 @@ def oracle_conditional_pmf(dist, matrix: TransformMatrix, target, support_bounds
         raise EmptyFiber(
             f"no nonnegative integer solution of image(j) == {tuple(target)}"
         )
-    masses = {j: _pmf(dist, j) for j in fiber}
+    masses = {j: dist.pmf(j) for j in fiber}
     total = sum(masses.values())
     if total == 0:
         raise ZeroProbability(

@@ -74,16 +74,8 @@ class TruncatedSeries:
         return len(self.bounds)
 
     @classmethod
-    def zero(cls, bounds, mode=EXACT) -> "TruncatedSeries":
-        return cls(bounds, mode)
-
-    @classmethod
     def one(cls, bounds, mode=EXACT) -> "TruncatedSeries":
         return cls(bounds, mode, {(0,) * len(bounds): 1})
-
-    @classmethod
-    def monomial(cls, bounds, exponents, value=1, mode=EXACT) -> "TruncatedSeries":
-        return cls(bounds, mode, {tuple(exponents): value})
 
     def _zero_coeff(self) -> Coefficient:
         return Fraction(0) if self.mode == EXACT else 0.0

@@ -11,8 +11,19 @@ import pathlib
 import subprocess
 import sys
 
+from hypothesis import strategies as st
+
 import pgflift
-from pgflift import EXACT, TransformMatrix, TruncatedSeries, enumerate_fiber
+from pgflift import (
+    EXACT,
+    Multinomial,
+    Poisson,
+    Table,
+    TransformMatrix,
+    TruncatedSeries,
+    enumerate_fiber,
+    monomial_image,
+)
 
 
 def run_cli(*argv):
@@ -119,4 +130,46 @@ def attainable_targets(dist, matrix):
     for j in itertools.product(*(range(c + 1) for c in caps)):
         if dist.pmf(j) > 0:
             support.append(j)
-    return sorted({matrix.image(j) for j in support})
+    return sorted({monomial_image(matrix, j) for j in support})
+
+
+@st.composite
+def small_laws(draw):
+    """(dist, matrix) over small shapes, with zero columns, zero rows,
+    zero-probability cells and trials=0."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    matrix = TransformMatrix(
+        draw(st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                      min_size=m, max_size=m))
+    )
+    family = draw(st.sampled_from(["poisson", "multinomial", "table"]))
+    if family == "poisson":
+        dist = Poisson(draw(st.lists(st.floats(0.1, 4.0), min_size=d, max_size=d)))
+    elif family == "multinomial":
+        weights = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)
+                       .filter(any))
+        dist = Multinomial(
+            draw(st.integers(0, 5)), [Fraction(w, sum(weights)) for w in weights]
+        )
+    else:
+        outcomes = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * d), st.integers(0, 3),
+            min_size=1, max_size=6,
+        ).filter(lambda e: any(e.values())))
+        total = sum(outcomes.values())
+        dist = Table({j: Fraction(w, total) for j, w in outcomes.items()})
+    return dist, matrix
+
+
+@st.composite
+def small_queries(draw, dist, matrix):
+    """(target, support_bounds, orders) for a law from small_laws, with caps
+    below, at and above the trial count. Zero columns of a Poisson get a cap."""
+    d, m = matrix.num_sources, matrix.num_targets
+    caps = draw(st.none() | st.tuples(*[st.integers(0, 6)] * d))
+    if caps is None and isinstance(dist, Poisson) and matrix.zero_columns():
+        caps = draw(st.tuples(*[st.integers(0, 6)] * d))
+    target = draw(st.tuples(*[st.integers(0, 6)] * m))
+    orders = draw(st.tuples(*[st.integers(0, 2)] * d))
+    return target, caps, orders

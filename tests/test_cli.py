@@ -1,11 +1,40 @@
+import dataclasses
+import itertools
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pgflift.cli import ConfigError, main, parse_config, render_human, render_machine, run
+from pgflift import (
+    FLOAT,
+    ConditionalQuery,
+    Multinomial,
+    Poisson,
+    Table,
+    closed_form_moment,
+    conditional_factorial_moment,
+    conditional_pmf,
+    effective_source_bounds,
+    enumerate_fiber,
+    monomial_image,
+    oracle_conditional_moment,
+    pgf_of_Y,
+)
+from pgflift import conditioning, transform
+from pgflift.cli import (
+    ConfigError,
+    JobConfig,
+    _format_value,
+    _values_agree,
+    main,
+    parse_config,
+    render_human,
+    render_machine,
+    run,
+)
 
-from support import run_cli as cli
+from support import run_cli as cli, small_laws, small_queries
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -198,3 +227,112 @@ class TestDeterminism:
         second = cli(*args)
         assert first == second
         assert first[0] == 0
+
+
+class TestOneSolvePerQuery:
+    @pytest.mark.parametrize(
+        "name", ["golden_poisson.json", "golden_multinomial.json", "golden_table.json"]
+    )
+    def test_one_source_pgf_and_at_most_one_joint(self, name, monkeypatch):
+        job = parse_config(read(name))
+        calls = []
+
+        def counting(kind, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((kind, args[0]))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls in (Poisson, Multinomial, Table):
+            monkeypatch.setattr(cls, "pgf", counting("pgf", cls.pgf))
+        for module in (transform, conditioning):
+            monkeypatch.setattr(module, "joint_pgf", counting("joint", module.joint_pgf))
+        for query, want_pmf in zip(job.queries, job.include_pmf):
+            calls.clear()
+            one = dataclasses.replace(job, queries=[query], include_pmf=[want_pmf])
+            run(one, verify=True)
+            # the closed form of a capped multinomial still builds the pgf of
+            # its shifted law, a different distribution
+            source_builds = [d for kind, d in calls if kind == "pgf" and d is job.distribution]
+            joints = [s for kind, s in calls if kind == "joint"]
+            assert len(source_builds) == 1
+            assert len(joints) <= 1
+
+
+def expected_row(job, index, query, want_pmf, verify, max_pmf_rows):
+    """A report row assembled from the public functions, one call per field,
+    in the order the command line fills the row."""
+    dist, matrix, mode = job.distribution, job.matrix, job.mode
+    row = {
+        "query_index": index, "k": list(query.target), "s": list(query.orders),
+        "fiber_size": None, "prob_Y": None, "moment_generic": None,
+        "moment_closed_form": None, "moment_oracle": None, "agree": None,
+        "error": None, "pmf": None,
+    }
+    try:
+        bounds = effective_source_bounds(dist, matrix, query.target, query.support_bounds)
+        row["fiber_size"] = len(enumerate_fiber(matrix, query.target, bounds))
+        g_y = pgf_of_Y(dist, matrix, query.target, query.support_bounds)
+        row["prob_Y"] = _format_value(g_y.coefficient(query.target), mode)
+        generic = conditional_factorial_moment(dist, matrix, query)
+        closed = closed_form_moment(dist, matrix, query)
+        oracle = oracle_conditional_moment(dist, matrix, query) if verify else None
+        row["moment_generic"] = _format_value(generic, mode)
+        row["moment_closed_form"] = _format_value(closed, mode)
+        row["moment_oracle"] = _format_value(oracle, mode)
+        others = [v for v in (closed, oracle) if v is not None]
+        if others:
+            row["agree"] = all(_values_agree(generic, v) for v in others)
+        if want_pmf and row["fiber_size"] <= max_pmf_rows:
+            pmf = conditional_pmf(dist, matrix, query.target, query.support_bounds)
+            row["pmf"] = [[list(j), _format_value(pmf[j], mode)] for j in sorted(pmf)]
+    except ValueError as err:
+        row["error"] = f"{type(err).__name__}: {err}"
+    return row
+
+
+@st.composite
+def small_jobs(draw):
+    """(job, verify, max_pmf_rows): one small law, exact tables also in float
+    mode, and one to three queries. Half the targets are images of a
+    support point, so most of those rows succeed; queries without caps on a
+    Poisson law with a zero column give UnboundedFiber rows."""
+    dist, matrix = draw(small_laws())
+    if isinstance(dist, Table) and draw(st.booleans()):
+        dist = Table(dist.entries, FLOAT)
+    if isinstance(dist, Poisson):
+        support = list(itertools.product(range(3), repeat=dist.dim))
+    else:
+        support = sorted(dist.pgf().terms)
+    queries = []
+    for _ in range(draw(st.integers(1, 3))):
+        target, caps, orders = draw(small_queries(dist, matrix))
+        if draw(st.booleans()):
+            target = monomial_image(matrix, draw(st.sampled_from(support)))
+        if draw(st.integers(0, 4)) == 0:
+            caps = None
+        queries.append(ConditionalQuery(target, orders, caps))
+    include_pmf = [draw(st.booleans()) for _ in queries]
+    job = JobConfig(matrix, dist, queries, include_pmf, dist.mode, "json-like")
+    return job, draw(st.booleans()), draw(st.integers(0, 20))
+
+
+class TestRowsMatchThePublicFunctions:
+    @given(small_jobs())
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_equals_the_per_field_calls(self, case):
+        job, verify, max_pmf_rows = case
+        report = run(job, verify=verify, max_pmf_rows=max_pmf_rows)
+        for index, (query, want_pmf) in enumerate(zip(job.queries, job.include_pmf)):
+            want = expected_row(job, index, query, want_pmf, verify, max_pmf_rows)
+            assert report.rows[index] == want
+
+    def test_error_rows_keep_fiber_size_and_prob_y(self):
+        job = parse_config(read("golden_table.json"))
+        rows = [
+            expected_row(job, i, q, p, True, 10000)
+            for i, (q, p) in enumerate(zip(job.queries, job.include_pmf))
+        ]
+        assert run(job, verify=True).rows == rows
+        assert rows[2]["error"].startswith("ZeroProbability")
+        assert (rows[2]["fiber_size"], rows[2]["prob_Y"]) == (1, "0/1")

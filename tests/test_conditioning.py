@@ -29,7 +29,9 @@ from pgflift import (
     poisson_conditional_moment,
 )
 
-from support import attainable_targets
+from pgflift.conditioning import FiberSolve
+
+from support import attainable_targets, small_laws, small_queries
 
 
 class TestPgfOfY:
@@ -64,37 +66,10 @@ class TestPgfOfY:
 
 @st.composite
 def target_box_cases(draw):
-    """(dist, matrix, target, support_bounds, orders) over small shapes, with
-    zero columns, zero rows, zero-probability cells, trials=0 and caps below,
-    at and above the trial count. Zero columns of a Poisson get a cap."""
-    d = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 2))
-    matrix = TransformMatrix(
-        draw(st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
-                      min_size=m, max_size=m))
-    )
-    family = draw(st.sampled_from(["poisson", "multinomial", "table"]))
-    if family == "poisson":
-        dist = Poisson(draw(st.lists(st.floats(0.1, 4.0), min_size=d, max_size=d)))
-    elif family == "multinomial":
-        weights = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)
-                       .filter(any))
-        dist = Multinomial(
-            draw(st.integers(0, 5)), [Fraction(w, sum(weights)) for w in weights]
-        )
-    else:
-        outcomes = draw(st.dictionaries(
-            st.tuples(*[st.integers(0, 3)] * d), st.integers(0, 3),
-            min_size=1, max_size=6,
-        ).filter(lambda e: any(e.values())))
-        total = sum(outcomes.values())
-        dist = Table({j: Fraction(w, total) for j, w in outcomes.items()})
-    caps = draw(st.none() | st.tuples(*[st.integers(0, 6)] * d))
-    if caps is None and family == "poisson" and matrix.zero_columns():
-        caps = draw(st.tuples(*[st.integers(0, 6)] * d))
-    target = draw(st.tuples(*[st.integers(0, 6)] * m))
-    orders = draw(st.tuples(*[st.integers(0, 2)] * d))
-    return dist, matrix, target, caps, orders
+    """(dist, matrix, target, support_bounds, orders): one small law and one
+    query on it (see support.small_laws and support.small_queries)."""
+    dist, matrix = draw(small_laws())
+    return (dist, matrix) + draw(small_queries(dist, matrix))
 
 
 class TestTargetBoxRoute:
@@ -144,6 +119,15 @@ class TestTargetBoxRoute:
         closed = multinomial_conditional_moment(dist, matrix, query)
         assert closed == oracle_conditional_moment(dist, matrix, query)
         assert closed == Fraction(105, 2)
+
+
+class TestFiberSolve:
+    def test_source_is_released_once_joint_and_g_y_exist(self):
+        dist = Table({(0, 0): "1/2", (1, 1): "1/2"})
+        solve = FiberSolve(dist, TransformMatrix([[1, 1]]), (2,))
+        assert solve.moment((1, 0)) == 1
+        assert "source" not in vars(solve)
+        assert solve.pmf() == {(1, 1): 1}
 
 
 class TestConditionalPmf:
@@ -399,6 +383,36 @@ class TestErrorTaxonomy:
             multinomial_conditional_moment(dist, parity, odd)
         with pytest.raises(EmptyFiber):
             conditional_factorial_moment(dist, parity, odd)
+
+    @pytest.mark.parametrize(
+        "dist, matrix, target, error, fiber_size",
+        [
+            # the golden table's k=[3] row: (1, 1) is on the lattice, massless
+            (Table({(0, 0): "1/4", (1, 0): "1/4", (0, 1): "1/4", (2, 2): "1/4"}),
+             TransformMatrix([[1, 2]]), (3,), ZeroProbability, 1),
+            # Y counts a multinomial cell of probability 0
+            (Multinomial(3, ["1/2", "0", "1/2"]), TransformMatrix([[0, 1, 0]]),
+             (1,), ZeroProbability, 16),
+            (Multinomial(3, ["1/2", "0", "1/2"]), TransformMatrix([[2, 2, 2]]),
+             (3,), EmptyFiber, 0),
+        ],
+    )
+    def test_lattice_count_tells_empty_from_massless(
+        self, dist, matrix, target, error, fiber_size
+    ):
+        solve = FiberSolve(dist, matrix, target)
+        assert (solve.fiber_size, solve.prob_y) == (fiber_size, 0)
+        query = ConditionalQuery(target, (0,) * matrix.num_sources)
+        reads = [
+            lambda: conditional_factorial_moment(dist, matrix, query),
+            lambda: conditional_pmf(dist, matrix, target),
+            lambda: oracle_conditional_moment(dist, matrix, query),
+        ]
+        if isinstance(dist, Multinomial):
+            reads.append(lambda: closed_form_moment(dist, matrix, query))
+        for read in reads:
+            with pytest.raises(error):
+                read()
 
     def test_unbounded_fiber_needs_support_bounds(self):
         dist = Poisson([1.0, 1.0])

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pgflift import (
     DimensionMismatch,
     TransformMatrix,
+    enumerate_fiber,
     fiber_degree_bounds,
     monomial_image,
 )
+from pgflift.core import count_fiber
 
 
 def test_single_row_image():
@@ -112,3 +115,30 @@ class TestFiberDegreeBounds:
                 j = tuple(cap + 1 if i == r else 0 for i in range(d))
                 image = monomial_image(A, j)
                 assert any(x > t for x, t in zip(image, k))
+
+
+@st.composite
+def lattice_cases(draw):
+    """(matrix, target, bounds): entries 0..2, so zero rows and columns
+    occur; bounds 0..6, often below what the target alone allows."""
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                         min_size=m, max_size=m))
+    target = draw(st.tuples(*[st.integers(0, 8)] * m))
+    bounds = draw(st.tuples(*[st.integers(0, 6)] * d))
+    return TransformMatrix(rows), target, bounds
+
+
+class TestCountFiber:
+    @given(lattice_cases())
+    @example((TransformMatrix([[1, 0]]), (3,), (5, 4)))  # zero column, capped
+    @example((TransformMatrix([[1, 1]]), (6,), (2, 6)))  # cap below the fiber bound
+    @example((TransformMatrix([[1, 1], [0, 0]]), (2, 1), (3, 3)))  # zero row
+    @example((TransformMatrix([[2, 2]]), (3,), (3, 3)))  # parity: unreachable
+    @settings(max_examples=300, deadline=None)
+    def test_counts_the_oracle_enumeration(self, case):
+        matrix, target, bounds = case
+        assert count_fiber(matrix, target, bounds) == len(
+            enumerate_fiber(matrix, target, bounds)
+        )

@@ -14,9 +14,8 @@ from pgflift import (
     TruncatedSeries,
     TruncationError,
     exp_truncated,
-    format_coefficient,
-    linear_combine,
 )
+from pgflift.series import format_coefficient, linear_combine
 
 
 def S(bounds, terms, mode=EXACT):

@@ -14,6 +14,7 @@ from pgflift import (
     TruncationError,
     exp_truncated,
     joint_pgf,
+    monomial_image,
     monomial_substitute,
 )
 from support import fiber_sum_series, pushforward_case
@@ -70,7 +71,8 @@ class TestMonomialSubstitute:
 
         argument_terms = {(0, 0): -sum(rates)}
         for r, rate in enumerate(rates):
-            image = matrix.image(tuple(1 if i == r else 0 for i in range(2)))
+            unit = tuple(1 if i == r else 0 for i in range(2))
+            image = monomial_image(matrix, unit)
             argument_terms[image] = argument_terms.get(image, 0.0) + rate
         direct = exp_truncated(TruncatedSeries(target_bounds, FLOAT, argument_terms))
 
