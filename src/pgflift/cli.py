@@ -70,6 +70,7 @@ def _parse_distribution(node, mode):
     if tag == "poisson":
         _require(isinstance(body, dict) and set(body) == {"lambdas"},
                  'poisson takes exactly the field "lambdas"')
+        _require(isinstance(body["lambdas"], list), 'poisson "lambdas" must be a list')
         _require(
             mode != EXACT,
             'mode "exact" is incompatible with a Poisson distribution: its '
@@ -83,6 +84,7 @@ def _parse_distribution(node, mode):
     if tag == "multinomial":
         _require(isinstance(body, dict) and set(body) == {"N", "probs"},
                  'multinomial takes exactly the fields "N" and "probs"')
+        _require(isinstance(body["probs"], list), 'multinomial "probs" must be a list')
         try:
             return Multinomial(body["N"], body["probs"])
         except (TypeError, ValueError) as err:
@@ -196,8 +198,8 @@ class Report:
 def run(job: JobConfig, verify: bool = False, max_pmf_rows: int = 10000) -> Report:
     """Execute every query; failures land in the row, not in the caller,
     which keeps the fields computed before the failure. Each query reads
-    every field off one `FiberSolve`, so its source pgf, joint series and
-    G_Y are built once; only the oracle, under `verify`, lists the fiber."""
+    every field off one `FiberSolve`, whose fiber block is built once;
+    only the oracle, under `verify`, lists the fiber."""
     report = Report(mode=job.mode, verified=verify)
     for idx, (query, want_pmf) in enumerate(zip(job.queries, job.include_pmf)):
         row = {

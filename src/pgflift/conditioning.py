@@ -2,22 +2,24 @@
 
 The observable is Y = image(X) for a nonnegative integer matrix: each target
 coordinate is a weighted sum of source counts. Conditioning on Y equal to a
-fixed target vector restricts X to a finite fiber, and everything here
-(conditional pmf, conditional factorial moments, the Poisson and multinomial
-closed forms) is a quotient of two coefficient extractions:
+fixed target vector k restricts X to a finite fiber. Tagging each source
+variable with its image, G(t, z) = G_X(t_1 z^(column 1), ..., t_d z^(column d)),
+every conditional quantity here is a read of one d-variable series, the
+fiber block B(t) = [z^k] G(t, z), which holds the pgf terms of the fiber:
 
-  numerator   coefficient of the target monomial after differentiating the
-              joint generating function in the source block and setting the
-              source variables to 1,
-  denominator coefficient of the target monomial in the generating function
-              of Y.
+  P(Y = k)                     B(1),
+  conditional pmf              the terms of B, divided by B(1),
+  conditional factorial moment the derivative of B of the given orders,
+                               at t = 1, divided by B(1).
 
-Factorial moments, not raw moments: the source block is differentiated
-`orders[r]` times in variable r, which weights each fiber point j by the
-falling factorial j_r * (j_r - 1) * ... * (j_r - orders[r] + 1).
+Factorial moments, not raw moments: B is differentiated `orders[r]` times in
+variable r, which weights each fiber point j by the falling factorial
+j_r * (j_r - 1) * ... * (j_r - orders[r] + 1). The Poisson and multinomial
+closed forms instead read a shifted law's generating function of Y, built on
+the target box by `pgf_of_Y`.
 
-`FiberSolve` builds one query's series once; everything here reads them.
-The fiber is counted, never listed (the brute-force oracle lists it, on a
+`FiberSolve` builds one query's block once; everything here reads it. The
+fiber is counted, never listed (the brute-force oracle lists it, on a
 separate code path, for verification).
 """
 
@@ -30,7 +32,6 @@ from math import perm
 from typing import Optional, Sequence, Tuple
 
 from .core import (
-    EXACT,
     DimensionMismatch,
     EmptyFiber,
     TransformMatrix,
@@ -42,7 +43,8 @@ from .core import (
     monomial_image,
 )
 from .distributions import Distribution, Multinomial, Poisson
-from .transform import joint_pgf, monomial_substitute
+from .series import TruncatedSeries
+from .transform import monomial_substitute
 
 
 @dataclass(frozen=True)
@@ -128,14 +130,14 @@ def effective_source_bounds(
 
 
 class FiberSolve:
-    """The series of one query (a target and optional support caps), each
-    built at most once, on first use: `source` is dist.pgf on the effective
-    box (released once `joint` and `g_y` exist), `joint` tags its terms with
-    their images for the generic moment and the pmf, and `g_y` is the pgf of
-    Y on [0, target], whose coefficient `prob_y` = P(Y = target) is every
-    denominator. `fiber_size` counts the fiber. One joint series answers all
-    orders. The effective box holds every fiber point of every k <= target
-    (or the caller's cap), so no build re-checks coverage."""
+    """One query (a target and optional support caps), answered from one
+    series built on first use: the fiber block B(t) = [z^target] G(t, z) of
+    G(t, z) = G_X(t_1 z^(column 1), ..., t_d z^(column d)), i.e. the terms of
+    dist.pgf on the effective box whose image is the target. B(1) is
+    `prob_y` = P(Y = target), every denominator; B's derivatives at 1 are
+    the generic numerators; its terms are the conditional pmf. `fiber_size`
+    counts the fiber. The effective box holds every fiber point (or the
+    caller's cap), so the build needs no coverage check."""
 
     def __init__(
         self,
@@ -153,35 +155,18 @@ class FiberSolve:
         return count_fiber(self.matrix, self.target, self.bounds)
 
     @cached_property
-    def source(self) -> "TruncatedSeries":
-        return self.dist.pgf(self.bounds)
-
-    @cached_property
-    def joint(self) -> "TruncatedSeries":
-        joint = joint_pgf(
-            self.source, self.matrix, self.bounds, self.target, check_coverage=False
-        )
-        if "g_y" in self.__dict__:
-            del self.source  # both of its readers are built
-        return joint
-
-    @cached_property
-    def g_y(self) -> "TruncatedSeries":
-        """Poisson, and multinomials with no cap below trials, expand their
-        factors in the target box (`image_pgf`); Tables, and multinomials
-        whose caps couple the cells, push the terms of `source` instead."""
-        dist, matrix, target = self.dist, self.matrix, self.target
-        if isinstance(dist, Poisson):
-            return dist.image_pgf(matrix, target, self.bounds)
-        if isinstance(dist, Multinomial) and all(
-            cap >= dist.trials for cap in self.support_bounds or ()
-        ):
-            return dist.image_pgf(matrix, target)
-        return monomial_substitute(self.source, matrix, target, check_coverage=False)
+    def block(self) -> TruncatedSeries:
+        source = self.dist.pgf(self.bounds)
+        fiber = {
+            j: c
+            for j, c in source.terms.items()
+            if monomial_image(self.matrix, j) == self.target
+        }
+        return TruncatedSeries(self.bounds, source.mode, fiber)
 
     @cached_property
     def prob_y(self):
-        return self.g_y.coefficient(self.target)
+        return self.block.evaluate((1,) * self.matrix.num_sources)
 
     def _raise_vanishing(self):
         if self.fiber_size == 0:
@@ -200,23 +185,18 @@ class FiberSolve:
         return self.prob_y
 
     def moment(self, orders: Sequence[int]):
-        """See conditional_factorial_moment."""
+        """See conditional_factorial_moment: the derivative of B of the given
+        orders, at 1, over B(1)."""
         _check_shapes(self.dist, self.matrix, self.target, orders)
-        denominator = self._denominator()  # first: g_y may need the source
-        joint = self.joint
+        denominator = self._denominator()
+        numerator = self.block
         for r, order in enumerate(orders):
-            if order:
-                joint = joint.partial_derivative(r, order)
-        d = self.matrix.num_sources
-        numerator = sum(
-            (c for e, c in joint.terms.items() if e[d:] == self.target),
-            Fraction(0) if joint.mode == EXACT else 0.0,
-        )
-        return numerator / denominator
+            numerator = numerator.partial_derivative(r, order)
+        return numerator.evaluate((1,) * len(orders)) / denominator
 
     def closed_form(self, orders: Sequence[int]):
-        """prefactor * [z^(target - image(orders))] G_Y' / [z^target] G_Y, for
-        the shifted law Y' of poisson_conditional_moment or
+        """prefactor * [z^(target - image(orders))] G_Y' / B(1), for the
+        shifted law Y' of poisson_conditional_moment or
         multinomial_conditional_moment; None for a family without one."""
         dist = self.dist
         _check_shapes(dist, self.matrix, self.target, orders)
@@ -247,13 +227,9 @@ class FiberSolve:
         return prefactor * numerator.coefficient(reduced_target) / denominator
 
     def pmf(self) -> dict:
-        """See conditional_pmf: the target block of the joint series, normalized."""
-        d = self.matrix.num_sources
-        hits = {e[:d]: c for e, c in self.joint.terms.items() if e[d:] == self.target}
-        if not hits:
-            self._raise_vanishing()
-        total = sum(hits.values())
-        return {j: c / total for j, c in hits.items()}
+        """See conditional_pmf: the terms of B over B(1)."""
+        total = self._denominator()
+        return {j: c / total for j, c in self.block.terms.items()}
 
 
 def pgf_of_Y(
@@ -261,11 +237,21 @@ def pgf_of_Y(
     matrix: TransformMatrix,
     target: Sequence[int],
     support_bounds: Optional[Sequence[int]] = None,
-) -> "TruncatedSeries":
+) -> TruncatedSeries:
     """Generating function of Y = image(X) on the box [0, target]: the
     coefficient at k is P(Y = k), on the capped support if support_bounds is
-    given. `FiberSolve.g_y` builds it."""
-    return FiberSolve(dist, matrix, target, support_bounds).g_y
+    given. Poisson, and multinomials with no cap below trials, expand their
+    factors in the target box (`image_pgf`); Tables, and multinomials whose
+    caps couple the cells, push the terms of dist.pgf on the effective box."""
+    target = check_exponents(target)
+    bounds = effective_source_bounds(dist, matrix, target, support_bounds)
+    if isinstance(dist, Poisson):
+        return dist.image_pgf(matrix, target, bounds)
+    if isinstance(dist, Multinomial) and all(
+        cap >= dist.trials for cap in support_bounds or ()
+    ):
+        return dist.image_pgf(matrix, target)
+    return monomial_substitute(dist.pgf(bounds), matrix, target, check_coverage=False)
 
 
 def conditional_pmf(
@@ -290,10 +276,10 @@ def conditional_factorial_moment(
 ) -> "Fraction | float":
     """Conditional factorial moment through the generating-function pipeline.
 
-    Differentiates the joint series `query.orders[r]` times in source
-    variable r, sets the source block to 1, extracts the target coefficient,
-    and divides by P(Y = target). Works for any of the supported
-    distributions; the closed forms below are fast paths for two of them.
+    Differentiates the fiber block `query.orders[r]` times in source
+    variable r, evaluates it at 1 and divides by P(Y = target), the block's
+    value at 1. Works for any of the supported distributions; the closed
+    forms below are fast paths for two of them.
     """
     solve = FiberSolve(dist, matrix, query.target, query.support_bounds)
     return solve.moment(query.orders)
@@ -307,9 +293,9 @@ def poisson_conditional_moment(
     """Closed form for independent Poisson sources.
 
     E[falling-factorial product | Y = target] equals
-    prod_r rate_r**orders[r] * P(Y = target - image(orders)) / P(Y = target),
-    two coefficient reads of target-box pgfs of the same Poisson law (the
-    numerator's support caps, if any, lowered by `orders`). Exactly 0
+    prod_r rate_r**orders[r] * P(Y = target - image(orders)) / P(Y = target):
+    the numerator is a coefficient read of the target-box pgf of the same
+    Poisson law (its support caps, if any, lowered by `orders`). Exactly 0
     whenever any component of target - image(orders) is negative.
     """
     if not isinstance(dist, Poisson):
@@ -327,9 +313,9 @@ def multinomial_conditional_moment(
     Shifting the fiber by `orders` turns the factorial-moment numerator into
     trials!/(trials-total_order)! * prod_r p_r**orders[r] times the mass that
     Multinomial(trials - total_order) puts on the shifted target, with the
-    support caps lowered by `orders`. Numerator mass and the denominator
-    P(Y = target) are two coefficient reads of target-box pgfs. Returns
-    exactly 0 when the orders sum past the trial count.
+    support caps lowered by `orders`: a coefficient read of that law's
+    target-box pgf. Returns exactly 0 when the orders sum past the trial
+    count.
     """
     if not isinstance(dist, Multinomial):
         raise TypeError("multinomial_conditional_moment needs a Multinomial distribution")

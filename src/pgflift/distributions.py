@@ -236,8 +236,8 @@ class Table:
             elif len(j) != dim:
                 raise ValueError("table outcomes have unequal lengths")
             p = to_fraction(prob) if mode == EXACT else float(prob)
-            if p < 0:
-                raise ValueError(f"probabilities must be nonnegative, got {p}")
+            if not 0 <= p < math.inf:
+                raise ValueError(f"probabilities must be nonnegative and finite, got {p}")
             clean[j] = p
         total = sum(clean.values())
         if mode == EXACT:

@@ -144,15 +144,6 @@ class TruncatedSeries:
             total += term
         return total
 
-    def serialized_terms(self):
-        """Terms as (exponent tuple, coefficient string) pairs in lexicographic
-        exponent order. Exact coefficients render as "num/den", floats as
-        their shortest round-trip decimal."""
-        return [
-            (e, format_coefficient(self.terms[e], self.mode))
-            for e in sorted(self.terms)
-        ]
-
     # arithmetic
 
     def __add__(self, other):
@@ -258,9 +249,3 @@ def exp_truncated(s: TruncatedSeries, split_constant: bool = False):
             )
         acc = acc.scale(math.exp(c))
     return acc
-
-
-def format_coefficient(value: Coefficient, mode: str) -> str:
-    if mode == EXACT:
-        return f"{value.numerator}/{value.denominator}"
-    return repr(float(value))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import pathlib
 
 import pytest
@@ -18,10 +19,10 @@ from pgflift import (
     effective_source_bounds,
     enumerate_fiber,
     monomial_image,
+    monomial_substitute,
     oracle_conditional_moment,
-    pgf_of_Y,
 )
-from pgflift import conditioning, transform
+from pgflift import transform
 from pgflift.cli import (
     ConfigError,
     JobConfig,
@@ -200,6 +201,30 @@ class TestMainExitCodes:
         assert main(["--config", str(bad)]) == 2
         assert "missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "matrix, distribution, message",
+        [
+            # a string would be read one character per coordinate
+            ([[1, 1]], {"poisson": {"lambdas": "12"}}, '"lambdas" must be a list'),
+            ([[1]], {"multinomial": {"N": 1, "probs": "1"}}, '"probs" must be a list'),
+            # json reads the NaN literal as a float
+            ([[1]], {"table": {"entries": {"0": math.nan, "1": 1.0}}}, "finite"),
+        ],
+    )
+    def test_malformed_distribution_is_a_config_error(
+        self, tmp_path, capsys, matrix, distribution, message
+    ):
+        cfg = {
+            "matrix": matrix,
+            "distribution": distribution,
+            "mode": "float",
+            "queries": [{"k": [0], "s": [0] * len(matrix[0])}],
+        }
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_mode_override_flag_rejects_poisson(self, capsys):
         code = main(
             ["--config", str(DATA / "golden_poisson.json"), "--mode", "exact"]
@@ -245,8 +270,7 @@ class TestOneSolvePerQuery:
 
         for cls in (Poisson, Multinomial, Table):
             monkeypatch.setattr(cls, "pgf", counting("pgf", cls.pgf))
-        for module in (transform, conditioning):
-            monkeypatch.setattr(module, "joint_pgf", counting("joint", module.joint_pgf))
+        monkeypatch.setattr(transform, "joint_pgf", counting("joint", transform.joint_pgf))
         for query, want_pmf in zip(job.queries, job.include_pmf):
             calls.clear()
             one = dataclasses.replace(job, queries=[query], include_pmf=[want_pmf])
@@ -256,7 +280,7 @@ class TestOneSolvePerQuery:
             source_builds = [d for kind, d in calls if kind == "pgf" and d is job.distribution]
             joints = [s for kind, s in calls if kind == "joint"]
             assert len(source_builds) == 1
-            assert len(joints) <= 1
+            assert joints == []
 
 
 def expected_row(job, index, query, want_pmf, verify, max_pmf_rows):
@@ -272,8 +296,10 @@ def expected_row(job, index, query, want_pmf, verify, max_pmf_rows):
     try:
         bounds = effective_source_bounds(dist, matrix, query.target, query.support_bounds)
         row["fiber_size"] = len(enumerate_fiber(matrix, query.target, bounds))
-        g_y = pgf_of_Y(dist, matrix, query.target, query.support_bounds)
-        row["prob_Y"] = _format_value(g_y.coefficient(query.target), mode)
+        pushed = monomial_substitute(
+            dist.pgf(bounds), matrix, query.target, check_coverage=False
+        )
+        row["prob_Y"] = _format_value(pushed.coefficient(query.target), mode)
         generic = conditional_factorial_moment(dist, matrix, query)
         closed = closed_form_moment(dist, matrix, query)
         oracle = oracle_conditional_moment(dist, matrix, query) if verify else None

@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pgflift import (
     EXACT,
+    FLOAT,
     ConditionalQuery,
     EmptyFiber,
     FiberError,
@@ -122,12 +123,15 @@ class TestTargetBoxRoute:
 
 
 class TestFiberSolve:
-    def test_source_is_released_once_joint_and_g_y_exist(self):
+    def test_block_is_the_only_series_kept(self):
         dist = Table({(0, 0): "1/2", (1, 1): "1/2"})
         solve = FiberSolve(dist, TransformMatrix([[1, 1]]), (2,))
+        assert solve.prob_y == Fraction(1, 2)
         assert solve.moment((1, 0)) == 1
-        assert "source" not in vars(solve)
         assert solve.pmf() == {(1, 1): 1}
+        kept = [name for name, v in vars(solve).items() if isinstance(v, TruncatedSeries)]
+        assert kept == ["block"]
+        assert solve.block == TruncatedSeries((1, 1), EXACT, {(1, 1): Fraction(1, 2)})
 
 
 class TestConditionalPmf:
@@ -178,8 +182,8 @@ class TestGenericMoment:
         assert got == pytest.approx(5.0 / 3.0, rel=1e-9)
 
     def test_order_zero_is_exactly_one(self):
-        # float mode: numerator and denominator are the same sum, so the
-        # quotient is 1.0 to the last bit, not merely close
+        # float mode: numerator and denominator are both the fiber block at
+        # 1, one sum in one order, so the quotient is 1.0 to the last bit
         f = conditional_factorial_moment(
             Poisson([1.0, 2.0]), TransformMatrix([[1, 1]]), ConditionalQuery((5,), (0, 0))
         )
@@ -190,6 +194,21 @@ class TestGenericMoment:
             ConditionalQuery((3,), (0, 0)),
         )
         assert e == Fraction(1)
+
+    @given(target_box_cases())
+    @example(
+        (Poisson([1.391, 3.536, 3.924]), TransformMatrix([[1, 2, 2]]), (4,), None, (0, 0, 0))
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_order_zero_is_exactly_one_for_every_law(self, case):
+        dist, matrix, target, caps, _ = case
+        query = ConditionalQuery(target, (0,) * matrix.num_sources, caps)
+        try:
+            got = conditional_factorial_moment(dist, matrix, query)
+        except FiberError:
+            return
+        assert type(got) is (float if dist.mode == FLOAT else Fraction)
+        assert got == 1
 
     def test_order_above_reachable_count_vanishes(self):
         got = conditional_factorial_moment(

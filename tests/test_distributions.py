@@ -155,6 +155,12 @@ class TestTable:
         with pytest.raises(ValueError):
             Table({(0,): "3/2", (1,): "-1/2"})
 
+    def test_non_finite_probability_rejected(self):
+        # a NaN total passes the mass tolerance check, which compares false
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                Table({(0,): bad, (1,): 1.0}, mode=FLOAT)
+
     def test_windowed_pgf_drops_outside_terms(self):
         dist = Table({(0,): "1/2", (3,): "1/2"})
         assert dist.pgf((1,)).terms == {(0,): Fraction(1, 2)}

@@ -15,7 +15,7 @@ from pgflift import (
     TruncationError,
     exp_truncated,
 )
-from pgflift.series import format_coefficient, linear_combine
+from pgflift.series import linear_combine
 
 
 def S(bounds, terms, mode=EXACT):
@@ -186,25 +186,6 @@ class TestEvaluate:
     def test_point_length_checked(self):
         with pytest.raises(DimensionMismatch):
             S((1, 1), {}).evaluate([1])
-
-
-class TestSerialization:
-    def test_lexicographic_order_and_exact_format(self):
-        series = S((2, 2), {(2, 0): 1, (0, 1): Fraction(1, 2), (1, 1): -3})
-        assert series.serialized_terms() == [
-            ((0, 1), "1/2"),
-            ((1, 1), "-3/1"),
-            ((2, 0), "1/1"),
-        ]
-
-    def test_float_round_trip(self):
-        series = S((1,), {(1,): 0.1}, mode=FLOAT)
-        ((_, text),) = series.serialized_terms()
-        assert float(text) == 0.1
-
-    def test_format_coefficient_modes(self):
-        assert format_coefficient(Fraction(-5, 3), EXACT) == "-5/3"
-        assert format_coefficient(1.5, FLOAT) == "1.5"
 
 
 # randomized algebra, exact coefficients
