@@ -60,6 +60,11 @@ def _parse_exponents(value, length, what):
     return tuple(value)
 
 
+def _require_numbers(values, what):
+    # float(True) and Fraction(True) are 1, so a JSON boolean would pass as one
+    _require(not any(isinstance(v, bool) for v in values), f"{what} must be numbers")
+
+
 def _parse_distribution(node, mode):
     _require(
         isinstance(node, dict) and len(node) == 1,
@@ -71,6 +76,7 @@ def _parse_distribution(node, mode):
         _require(isinstance(body, dict) and set(body) == {"lambdas"},
                  'poisson takes exactly the field "lambdas"')
         _require(isinstance(body["lambdas"], list), 'poisson "lambdas" must be a list')
+        _require_numbers(body["lambdas"], 'poisson "lambdas"')
         _require(
             mode != EXACT,
             'mode "exact" is incompatible with a Poisson distribution: its '
@@ -85,6 +91,7 @@ def _parse_distribution(node, mode):
         _require(isinstance(body, dict) and set(body) == {"N", "probs"},
                  'multinomial takes exactly the fields "N" and "probs"')
         _require(isinstance(body["probs"], list), 'multinomial "probs" must be a list')
+        _require_numbers(body["probs"], 'multinomial "probs"')
         try:
             return Multinomial(body["N"], body["probs"])
         except (TypeError, ValueError) as err:
@@ -93,6 +100,7 @@ def _parse_distribution(node, mode):
         _require(isinstance(body, dict) and set(body) == {"entries"},
                  'table takes exactly the field "entries"')
         _require(isinstance(body["entries"], dict), "table entries must be an object")
+        _require_numbers(body["entries"].values(), "table entries")
         entries = {}
         for key, prob in body["entries"].items():
             try:

@@ -15,20 +15,20 @@ fiber block B(t) = [z^k] G(t, z), which holds the pgf terms of the fiber:
 Factorial moments, not raw moments: B is differentiated `orders[r]` times in
 variable r, which weights each fiber point j by the falling factorial
 j_r * (j_r - 1) * ... * (j_r - orders[r] + 1). The Poisson and multinomial
-closed forms instead read a shifted law's generating function of Y, built on
-the target box by `pgf_of_Y`.
+closed forms instead read two coefficients of the family's product form on
+the target box (`distributions.product_form`), a separate route.
 
-`FiberSolve` builds one query's block once; everything here reads it. The
-fiber is counted, never listed (the brute-force oracle lists it, on a
-separate code path, for verification).
+`FiberSolve` builds one query's block once; all but the closed forms read
+it. The fiber is counted, never listed (the brute-force oracle lists it, on
+a separate code path, for verification).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import perm
 from typing import Optional, Sequence, Tuple
 
 from .core import (
@@ -42,7 +42,7 @@ from .core import (
     fiber_degree_bounds,
     monomial_image,
 )
-from .distributions import Distribution, Multinomial, Poisson
+from .distributions import Distribution, Multinomial, Poisson, product_form, trials_slice
 from .series import TruncatedSeries
 from .transform import monomial_substitute
 
@@ -134,8 +134,9 @@ class FiberSolve:
     series built on first use: the fiber block B(t) = [z^target] G(t, z) of
     G(t, z) = G_X(t_1 z^(column 1), ..., t_d z^(column d)), i.e. the terms of
     dist.pgf on the effective box whose image is the target. B(1) is
-    `prob_y` = P(Y = target), every denominator; B's derivatives at 1 are
-    the generic numerators; its terms are the conditional pmf. `fiber_size`
+    `prob_y` = P(Y = target), the generic denominator; B's derivatives at 1
+    are the generic numerators; its terms are the conditional pmf. The
+    closed form reads the family's product form instead. `fiber_size`
     counts the fiber. The effective box holds every fiber point (or the
     caller's cap), so the build needs no coverage check."""
 
@@ -195,36 +196,32 @@ class FiberSolve:
         return numerator.evaluate((1,) * len(orders)) / denominator
 
     def closed_form(self, orders: Sequence[int]):
-        """prefactor * [z^(target - image(orders))] G_Y' / B(1), for the
-        shifted law Y' of poisson_conditional_moment or
-        multinomial_conditional_moment; None for a family without one."""
-        dist = self.dist
-        _check_shapes(dist, self.matrix, self.target, orders)
+        """prod_r c_r**orders[r] * [z^(m - A' orders)] F' / [z^m] F for the
+        family's product form F (c the rates or the probs; a multinomial
+        appends an all-ones row to A and the trials to m), F' cut at the caps
+        lowered by `orders`; None for a family without one. See
+        poisson_conditional_moment and multinomial_conditional_moment."""
+        dist, matrix, caps = self.dist, self.matrix, self.support_bounds
+        _check_shapes(dist, matrix, self.target, orders)
         if isinstance(dist, Poisson):
-            shifted, prefactor = dist, 1.0
-            for rate, s in zip(dist.rates, orders):
-                prefactor *= rate**s
+            coeffs, m, shift = dist.rates, self.target, monomial_image(matrix, orders)
         elif isinstance(dist, Multinomial):
-            total_order = sum(orders)
-            shifted = (
-                Multinomial(dist.trials - total_order, dist.probs)
-                if total_order <= dist.trials
-                else None
-            )
-            prefactor = Fraction(perm(dist.trials, total_order))
-            for p, s in zip(dist.probs, orders):
-                prefactor *= p**s
+            coeffs, m = dist.probs, self.target + (dist.trials,)
+            shift = monomial_image(matrix, orders) + (sum(orders),)
         else:
             return None
-        denominator = self._denominator()
-        shift = monomial_image(self.matrix, orders)
-        reduced_target = tuple(k - a for k, a in zip(self.target, shift))
-        caps = self.support_bounds
-        reduced_caps = None if caps is None else tuple(b - s for b, s in zip(caps, orders))
-        if shifted is None or min(reduced_target + (reduced_caps or ())) < 0:
+        whole = product_form(dist, matrix, self.target, self.bounds)
+        denominator = whole.coefficient(m)
+        if denominator == 0:
+            self._raise_vanishing()
+        reduced_m = tuple(a - b for a, b in zip(m, shift))
+        reduced_caps = () if caps is None else tuple(b - s for b, s in zip(caps, orders))
+        if min(reduced_m + reduced_caps) < 0:
             return 0 * denominator  # a zero of the coefficient type
-        numerator = pgf_of_Y(shifted, self.matrix, reduced_target, reduced_caps)
-        return prefactor * numerator.coefficient(reduced_target) / denominator
+        numerator = whole if caps is None else product_form(
+            dist, matrix, self.target, tuple(map(min, self.bounds, reduced_caps)))
+        prefactor = math.prod(c**s for c, s in zip(coeffs, orders))
+        return prefactor * numerator.coefficient(reduced_m) / denominator
 
     def pmf(self) -> dict:
         """See conditional_pmf: the terms of B over B(1)."""
@@ -240,17 +237,16 @@ def pgf_of_Y(
 ) -> TruncatedSeries:
     """Generating function of Y = image(X) on the box [0, target]: the
     coefficient at k is P(Y = k), on the capped support if support_bounds is
-    given. Poisson, and multinomials with no cap below trials, expand their
-    factors in the target box (`image_pgf`); Tables, and multinomials whose
-    caps couple the cells, push the terms of dist.pgf on the effective box."""
+    given. Poisson and multinomial laws expand their product form in the
+    target box, each factor cut at the effective source bound (a multinomial
+    then keeps its `trials` slice); Tables push the terms of dist.pgf on the
+    effective box."""
     target = check_exponents(target)
     bounds = effective_source_bounds(dist, matrix, target, support_bounds)
     if isinstance(dist, Poisson):
-        return dist.image_pgf(matrix, target, bounds)
-    if isinstance(dist, Multinomial) and all(
-        cap >= dist.trials for cap in support_bounds or ()
-    ):
-        return dist.image_pgf(matrix, target)
+        return product_form(dist, matrix, target, bounds)
+    if isinstance(dist, Multinomial):
+        return trials_slice(product_form(dist, matrix, target, bounds), dist.trials)
     return monomial_substitute(dist.pgf(bounds), matrix, target, check_coverage=False)
 
 
@@ -294,8 +290,8 @@ def poisson_conditional_moment(
 
     E[falling-factorial product | Y = target] equals
     prod_r rate_r**orders[r] * P(Y = target - image(orders)) / P(Y = target):
-    the numerator is a coefficient read of the target-box pgf of the same
-    Poisson law (its support caps, if any, lowered by `orders`). Exactly 0
+    two coefficient reads of the product form on the target box (with the
+    support caps, if any, lowered by `orders` for the numerator). Exactly 0
     whenever any component of target - image(orders) is negative.
     """
     if not isinstance(dist, Poisson):
@@ -310,11 +306,12 @@ def multinomial_conditional_moment(
 ) -> Fraction:
     """Closed form for a multinomial source, exact in rational arithmetic.
 
-    Shifting the fiber by `orders` turns the factorial-moment numerator into
-    trials!/(trials-total_order)! * prod_r p_r**orders[r] times the mass that
-    Multinomial(trials - total_order) puts on the shifted target, with the
-    support caps lowered by `orders`: a coefficient read of that law's
-    target-box pgf. Returns exactly 0 when the orders sum past the trial
+    The multinomial is independent Poisson(p_r) counts conditioned on their
+    total, so shifting the fiber by `orders` turns the factorial-moment
+    numerator into prod_r p_r**orders[r] times the product form read at
+    (target - image(orders), trials - total_order), with the support caps
+    lowered by `orders`; the denominator is the same series read at
+    (target, trials). Returns exactly 0 when the orders sum past the trial
     count.
     """
     if not isinstance(dist, Multinomial):

@@ -2,11 +2,11 @@
 
 Each distribution knows its dimension, its natural coefficient mode, how to
 build its probability generating function on a degree box, and how to
-evaluate its pmf pointwise. Poisson and multinomial also expand the
-generating function of an aggregate image(X) from their closed-form factors,
-directly in the target box. The pgf paths feed the series pipeline; the pmf
-path exists so that brute-force verification can price outcomes without
-touching any series code.
+evaluate its pmf pointwise. Poisson and multinomial build their own pgf and
+that of any aggregate image(X) from one product of per-coordinate factors
+(`product_form`), the multinomial as Poisson counts conditioned on their
+total. The pgf paths feed the series pipeline; the pmf path exists so that
+brute-force verification can price outcomes without touching any series code.
 
 Poisson coefficients involve exp(-rate) and therefore live in float mode.
 Multinomial probabilities are promoted to exact rationals (a decimal string
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .core import EXACT, FLOAT, check_bounds, check_exponents, within_box
-from .series import TruncatedSeries, exp_truncated
+from .core import EXACT, FLOAT, TransformMatrix, check_bounds, check_exponents, within_box
+from .series import TruncatedSeries
 
 
 def to_fraction(value) -> Fraction:
@@ -69,48 +69,19 @@ class Poisson:
         )
 
     def pgf(self, bounds: Optional[Sequence[int]] = None) -> TruncatedSeries:
-        """prod_r exp(rate_r * (t_r - 1)), truncated to the box.
+        """prod_r exp(rate_r * (t_r - 1)), truncated to the box: the product
+        form with identity columns.
 
-        Built through the series exponential rather than from the pmf formula
-        on purpose: tests compare the two routes against each other.
+        Built by the rate**x / x! recurrence rather than from the log-space
+        pmf formula on purpose: tests compare the two routes against each
+        other.
         """
         box = (
             self.default_truncation()
             if bounds is None
             else check_bounds(bounds, self.dim)
         )
-        out = TruncatedSeries.one(box, FLOAT)
-        for r, rate in enumerate(self.rates):
-            arg_terms = {(0,) * self.dim: -rate}
-            unit = tuple(1 if i == r else 0 for i in range(self.dim))
-            if within_box(unit, box):
-                arg_terms[unit] = rate
-            out = out * exp_truncated(TruncatedSeries(box, FLOAT, arg_terms))
-        return out
-
-    def image_pgf(self, matrix, target, bounds) -> TruncatedSeries:
-        """Generating function of image(X) on [0, target], X confined to [0, bounds].
-
-        The product over r of exp(rate_r * (t_r - 1)), each factor truncated
-        at degree bounds[r] and substituted t_r -> z^(column r) before any
-        expansion. The factors are independent, so truncating each one is
-        exactly confining X to the box; a zero column contributes the scalar
-        P(X_r <= bounds[r]).
-        """
-        box = check_bounds(bounds, self.dim)
-        out = TruncatedSeries.one(target, FLOAT)
-        for rate, b, column in zip(self.rates, box, zip(*matrix.rows)):
-            # rate**x / x! by recurrence, scaled by exp(-rate) at the end, as
-            # exp_truncated does in Poisson.pgf
-            scale, weight, factor = math.exp(-rate), 1.0, {}
-            for x in range(b + 1):
-                k = tuple(a * x for a in column)
-                if not within_box(k, target):
-                    break
-                factor[k] = factor.get(k, 0.0) + scale * weight
-                weight = weight * rate * (1.0 / (x + 1))
-            out = out * TruncatedSeries(target, FLOAT, factor)
-        return out
+        return product_form(self, _identity(self.dim), box, box)
 
     def pmf(self, outcome: Sequence[int]) -> float:
         j = check_exponents(outcome)
@@ -170,36 +141,14 @@ class Multinomial:
         return (self.trials,) * self.dim
 
     def pgf(self, bounds: Optional[Sequence[int]] = None) -> TruncatedSeries:
-        """(p_1 t_1 + ... + p_d t_d) ** trials, truncated to the box."""
+        """(p_1 t_1 + ... + p_d t_d) ** trials, truncated to the box: the
+        product form with identity columns, read at `trials` balls."""
         box = (
             self.support_bound()
             if bounds is None
             else check_bounds(bounds, self.dim)
         )
-        units = [tuple(int(i == r) for i in range(self.dim)) for r in range(self.dim)]
-        return self._base_power(units, box)
-
-    def image_pgf(self, matrix, target) -> TruncatedSeries:
-        """Generating function of image(X) on [0, target]:
-        (p_1 z^(column 1) + ... + p_d z^(column d)) ** trials, expanded in the
-        target box only."""
-        return self._base_power(zip(*matrix.rows), target)
-
-    def _base_power(self, monomials, box) -> TruncatedSeries:
-        """(sum_r p_r x^(monomials[r])) ** trials on the box, by `trials`
-        multiplications by the short base: squaring would multiply two series
-        each about as long as the result. Truncated products stay exact on the
-        box: exponents only grow, so a discarded intermediate term can never
-        re-enter the box later."""
-        base_terms = {}
-        for p, m in zip(self.probs, monomials):
-            if within_box(m, box):
-                base_terms[m] = base_terms.get(m, 0) + p
-        base = TruncatedSeries(box, EXACT, base_terms)
-        out = TruncatedSeries.one(box, EXACT)
-        for _ in range(self.trials):
-            out = out * base
-        return out
+        return trials_slice(product_form(self, _identity(self.dim), box, box), self.trials)
 
     def pmf(self, outcome: Sequence[int]) -> Fraction:
         j = check_exponents(outcome)
@@ -279,3 +228,48 @@ class Table:
 
 
 Distribution = Union[Poisson, Multinomial, Table]
+
+
+def product_form(dist, matrix: TransformMatrix, box, bounds) -> TruncatedSeries:
+    """prod_r sum_{x <= bounds[r]} w_r(x) z^(x * column r), expanded on `box`.
+
+    The factors are independent, so cutting factor r at bounds[r] is exactly
+    confining X_r to [0, bounds[r]]; a zero column contributes the scalar
+    sum of its weights. Poisson weights are exp(-rate_r) rate_r**x / x!, in
+    float mode. A multinomial is independent Poisson(p_r) counts conditioned
+    on their total: its weights are p_r**x / x!, exact, and the matrix gains
+    an all-ones row, so the result has one more variable, the number of
+    balls, on the box `box` followed by `trials` (see `trials_slice`).
+    """
+    if isinstance(dist, Poisson):
+        mode, one, coeffs, rows = FLOAT, 1.0, dist.rates, matrix.rows
+    else:
+        mode, one, coeffs = EXACT, Fraction(1), dist.probs
+        rows = matrix.rows + ((1,) * dist.dim,)
+        box = tuple(box) + (dist.trials,)
+    out = TruncatedSeries.one(box, mode)
+    for c, b, column in zip(coeffs, bounds, zip(*rows)):
+        # c**x / x! by recurrence; exponents only grow with x, so the first
+        # one outside the box ends the factor
+        scale, weight, factor = (math.exp(-c) if mode == FLOAT else 1), one, {}
+        for x in range(b + 1):
+            k = tuple(a * x for a in column)
+            if not within_box(k, box):
+                break
+            factor[k] = factor.get(k, 0) + scale * weight
+            weight = weight * c * (one / (x + 1))
+        out = out * TruncatedSeries(box, mode, factor)
+    return out
+
+
+def trials_slice(series: TruncatedSeries, trials: int) -> TruncatedSeries:
+    """trials! times the terms of a multinomial product form whose last
+    exponent, the number of balls, is `trials`, as a series in the other
+    variables."""
+    scale = math.factorial(trials)
+    terms = {e[:-1]: scale * c for e, c in series.terms.items() if e[-1] == trials}
+    return TruncatedSeries(series.bounds[:-1], EXACT, terms)
+
+
+def _identity(dim: int) -> TransformMatrix:
+    return TransformMatrix([[int(i == r) for r in range(dim)] for i in range(dim)])

@@ -209,6 +209,11 @@ class TestMainExitCodes:
             ([[1]], {"multinomial": {"N": 1, "probs": "1"}}, '"probs" must be a list'),
             # json reads the NaN literal as a float
             ([[1]], {"table": {"entries": {"0": math.nan, "1": 1.0}}}, "finite"),
+            # a boolean would be read as the number 1
+            ([[1, 1]], {"poisson": {"lambdas": [True, 2]}}, '"lambdas" must be numbers'),
+            ([[1, 1]], {"multinomial": {"N": 1, "probs": [True, 0]}},
+             '"probs" must be numbers'),
+            ([[1]], {"table": {"entries": {"0": True}}}, "entries must be numbers"),
         ],
     )
     def test_malformed_distribution_is_a_config_error(
@@ -275,11 +280,11 @@ class TestOneSolvePerQuery:
             calls.clear()
             one = dataclasses.replace(job, queries=[query], include_pmf=[want_pmf])
             run(one, verify=True)
-            # the closed form of a capped multinomial still builds the pgf of
-            # its shifted law, a different distribution
-            source_builds = [d for kind, d in calls if kind == "pgf" and d is job.distribution]
+            # the block is the only pgf build; the closed form reads the
+            # product form instead
+            source_builds = [d for kind, d in calls if kind == "pgf"]
             joints = [s for kind, s in calls if kind == "joint"]
-            assert len(source_builds) == 1
+            assert len(source_builds) == 1 and source_builds[0] is job.distribution
             assert joints == []
 
 

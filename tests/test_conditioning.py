@@ -122,6 +122,59 @@ class TestTargetBoxRoute:
         assert closed == Fraction(105, 2)
 
 
+def _fail_on_call(*args, **kwargs):
+    raise AssertionError("the closed form built a source pgf or the fiber block")
+
+
+class TestClosedFormIsASeparateRoute:
+    """The closed forms read the product form only: no source pgf, no fiber
+    block, so they share no series with the generic leg. The oracle runs
+    under the same guards."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_source_series(self, monkeypatch):
+        for cls in (Poisson, Multinomial):
+            monkeypatch.setattr(cls, "pgf", _fail_on_call)
+        monkeypatch.setattr(FiberSolve, "block", property(_fail_on_call))
+
+    @pytest.mark.parametrize(
+        "closed_form", [closed_form_moment, multinomial_conditional_moment]
+    )
+    @pytest.mark.parametrize(
+        "dist, rows, target, orders, caps",
+        [
+            # the Baseline query: 105/2 exactly
+            (Multinomial(30, [Fraction(1, 4)] * 4), [[1, 1, 0, 0], [0, 0, 1, 1]],
+             (15, 15), (1, 1, 0, 0), None),
+            # the cap on the first cell cuts the fiber point (3, 0, 3)
+            (Multinomial(6, ["1/2", "1/3", "1/6"]), [[1, 1, 0]], (3,), (1, 1, 0),
+             (2, 3, 5)),
+        ],
+    )
+    def test_multinomial(self, closed_form, dist, rows, target, orders, caps):
+        matrix, query = TransformMatrix(rows), ConditionalQuery(target, orders, caps)
+        want = oracle_conditional_moment(dist, matrix, query)
+        assert closed_form(dist, matrix, query) == want
+        if caps is None:
+            assert want == Fraction(105, 2)
+
+    @pytest.mark.parametrize(
+        "closed_form", [closed_form_moment, poisson_conditional_moment]
+    )
+    @pytest.mark.parametrize(
+        "dist, rows, target, orders, caps",
+        [
+            (Poisson([1.0, 2.0]), [[1, 1]], (5,), (1, 0), None),
+            # a zero column needs a cap
+            (Poisson([1.0, 2.0, 0.5]), [[1, 1, 0]], (4,), (1, 1, 1), (3, 4, 2)),
+        ],
+    )
+    def test_poisson(self, closed_form, dist, rows, target, orders, caps):
+        matrix, query = TransformMatrix(rows), ConditionalQuery(target, orders, caps)
+        want = oracle_conditional_moment(dist, matrix, query)
+        _assert_close(closed_form(dist, matrix, query), want)
+
+
 class TestFiberSolve:
     def test_block_is_the_only_series_kept(self):
         dist = Table({(0, 0): "1/2", (1, 1): "1/2"})

@@ -4,8 +4,77 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pgflift import EXACT, FLOAT, Multinomial, Poisson, Table, TruncatedSeries, to_fraction
+from pgflift import (
+    EXACT,
+    FLOAT,
+    Multinomial,
+    Poisson,
+    Table,
+    TruncatedSeries,
+    exp_truncated,
+    to_fraction,
+)
+
+
+def unit(dim, r):
+    return tuple(int(i == r) for i in range(dim))
+
+
+def poisson_pgf_by_exponentials(dist, box):
+    """prod_r exp_truncated(-rate_r + rate_r t_r) on the box: the series
+    exponential route that built Poisson.pgf before the product form."""
+    out = TruncatedSeries.one(box, FLOAT)
+    for r, rate in enumerate(dist.rates):
+        argument = {(0,) * dist.dim: -rate}
+        if box[r] >= 1:
+            argument[unit(dist.dim, r)] = rate
+        out = out * exp_truncated(TruncatedSeries(box, FLOAT, argument))
+    return out
+
+
+def multinomial_pgf_by_powers(dist, box):
+    """(p_1 t_1 + ... + p_d t_d) ** trials on the box, by `trials`
+    multiplications by the base: the route that built Multinomial.pgf before
+    the product form."""
+    base = {unit(dist.dim, r): p for r, p in enumerate(dist.probs) if box[r] >= 1}
+    out = TruncatedSeries.one(box, EXACT)
+    for _ in range(dist.trials):
+        out = out * TruncatedSeries(box, EXACT, base)
+    return out
+
+
+@st.composite
+def poisson_boxes(draw):
+    rates = draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=3))
+    return Poisson(rates), draw(st.tuples(*[st.integers(0, 12)] * len(rates)))
+
+
+@st.composite
+def multinomial_boxes(draw):
+    """Boxes below and above the trial count, zero-probability cells and
+    trials = 0."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(any))
+    dist = Multinomial(draw(st.integers(0, 8)), [Fraction(w, sum(weights)) for w in weights])
+    return dist, draw(st.tuples(*[st.integers(0, 10)] * len(weights)))
+
+
+class TestProductFormMatchesTheReplacedRoutes:
+    @given(poisson_boxes())
+    @settings(max_examples=150, deadline=None)
+    @example((Poisson([0.3, 7.5]), (0, 12)))
+    def test_poisson_pgf_is_bit_identical_to_the_exponentials(self, case):
+        dist, box = case
+        assert dist.pgf(box) == poisson_pgf_by_exponentials(dist, box)
+
+    @given(multinomial_boxes())
+    @settings(max_examples=150, deadline=None)
+    @example((Multinomial(0, ["1/3", "2/3"]), (0, 0)))
+    @example((Multinomial(5, ["0", "1/4", "3/4"]), (3, 10, 2)))
+    def test_multinomial_pgf_is_exactly_the_power(self, case):
+        dist, box = case
+        assert dist.pgf(box) == multinomial_pgf_by_powers(dist, box)
 
 
 class TestPoisson:
@@ -19,8 +88,8 @@ class TestPoisson:
         assert g.coefficient((1, 1)) == pytest.approx(expected, rel=1e-12)
 
     def test_every_coefficient_matches_the_pmf_formula(self):
-        # the pgf is built through the series exponential; the pmf method is
-        # the direct formula; they must meet
+        # the pgf is built by the rate**x / x! recurrence; the pmf method is
+        # the log-space formula; they must meet
         dist = Poisson([0.7, 2.5])
         g = dist.pgf((6, 6))
         for j in itertools.product(range(7), repeat=2):
