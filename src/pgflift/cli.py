@@ -206,8 +206,8 @@ class Report:
 def run(job: JobConfig, verify: bool = False, max_pmf_rows: int = 10000) -> Report:
     """Execute every query; failures land in the row, not in the caller,
     which keeps the fields computed before the failure. Each query reads
-    every field off one `FiberSolve`, whose fiber block is built once;
-    only the oracle, under `verify`, lists the fiber."""
+    every field off one `FiberSolve`, which builds no source series; only
+    the pmf and the oracle, under `verify`, list the fiber."""
     report = Report(mode=job.mode, verified=verify)
     for idx, (query, want_pmf) in enumerate(zip(job.queries, job.include_pmf)):
         row = {

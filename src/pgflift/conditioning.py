@@ -1,26 +1,18 @@
 """Conditional laws of a count vector given an aggregated observation.
 
-The observable is Y = image(X) for a nonnegative integer matrix: each target
-coordinate is a weighted sum of source counts. Conditioning on Y equal to a
-fixed target vector k restricts X to a finite fiber. Tagging each source
-variable with its image, G(t, z) = G_X(t_1 z^(column 1), ..., t_d z^(column d)),
-every conditional quantity here is a read of one d-variable series, the
-fiber block B(t) = [z^k] G(t, z), which holds the pgf terms of the fiber:
+The observable is Y = image(X) for a nonnegative integer matrix. Conditioning
+on Y = k restricts X to a finite fiber. The paper reads every conditional
+quantity off one coefficient, [z^k] of the pgf with each source variable
+tagged by its image, which is a sum over that fiber:
 
-  P(Y = k)                     B(1),
-  conditional pmf              the terms of B, divided by B(1),
-  conditional factorial moment the derivative of B of the given orders,
-                               at t = 1, divided by B(1).
+  P(Y = k)                      sum of P(X = j),
+  conditional factorial moment  sum of P(X = j) prod_r perm(j_r, s_r),
+                                over P(Y = k),
+  conditional pmf               each P(X = j), over P(Y = k).
 
-Factorial moments, not raw moments: B is differentiated `orders[r]` times in
-variable r, which weights each fiber point j by the falling factorial
-j_r * (j_r - 1) * ... * (j_r - orders[r] + 1). The Poisson and multinomial
-closed forms instead read two coefficients of the family's product form on
-the target box (`distributions.product_form`), a separate route.
-
-`FiberSolve` builds one query's block once; all but the closed forms read
-it. The fiber is counted, never listed (the brute-force oracle lists it, on
-a separate code path, for verification).
+`FiberSolve` takes these sums without any series. The closed forms read two
+coefficients of the family's product form on the target box
+(`distributions.product_form`), a separate route; the oracle lists the fiber.
 """
 
 from __future__ import annotations
@@ -32,17 +24,13 @@ from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .core import (
-    DimensionMismatch,
-    EmptyFiber,
-    TransformMatrix,
-    UnboundedFiber,
-    ZeroProbability,
-    check_exponents,
-    count_fiber,
-    fiber_degree_bounds,
-    monomial_image,
+    EXACT, DimensionMismatch, EmptyFiber, TransformMatrix, UnboundedFiber, ZeroProbability,
+    check_exponents, fiber_degree_bounds, fiber_points, fiber_sum, monomial_image, within_box,
 )
-from .distributions import Distribution, Multinomial, Poisson, product_form, trials_slice
+from .distributions import (
+    Distribution, Multinomial, Poisson, Table, product_form, product_weights, trials_slice,
+    with_ones_row,
+)
 from .series import TruncatedSeries
 from .transform import monomial_substitute
 
@@ -72,24 +60,16 @@ class ConditionalQuery:
 
 
 def _check_shapes(dist, matrix, target, orders=None, support_bounds=None):
-    if dist.dim != matrix.num_sources:
-        raise DimensionMismatch(
-            f"distribution has {dist.dim} coordinates, matrix expects "
-            f"{matrix.num_sources}"
-        )
+    d = matrix.num_sources
+    if dist.dim != d:
+        raise DimensionMismatch(f"distribution has {dist.dim} coordinates, matrix expects {d}")
     if len(target) != matrix.num_targets:
         raise DimensionMismatch(
             f"target has length {len(target)}, matrix has {matrix.num_targets} rows"
         )
-    if orders is not None and len(orders) != matrix.num_sources:
-        raise DimensionMismatch(
-            f"orders have length {len(orders)}, expected {matrix.num_sources}"
-        )
-    if support_bounds is not None and len(support_bounds) != matrix.num_sources:
-        raise DimensionMismatch(
-            f"support bounds have length {len(support_bounds)}, expected "
-            f"{matrix.num_sources}"
-        )
+    for what, given in (("orders", orders), ("support bounds", support_bounds)):
+        if given is not None and len(given) != d:
+            raise DimensionMismatch(f"{what} have length {len(given)}, expected {d}")
 
 
 def effective_source_bounds(
@@ -107,19 +87,11 @@ def effective_source_bounds(
     """
     target = check_exponents(target)
     _check_shapes(dist, matrix, target, support_bounds=support_bounds)
-    fiber = fiber_degree_bounds(matrix, target)
-    natural = dist.support_bound()
+    given = support_bounds or (None,) * matrix.num_sources
     out = []
-    for r in range(matrix.num_sources):
-        caps = [
-            c
-            for c in (
-                fiber[r],
-                natural[r],
-                None if support_bounds is None else support_bounds[r],
-            )
-            if c is not None
-        ]
+    for r, limits in enumerate(zip(fiber_degree_bounds(matrix, target),
+                                   dist.support_bound(), given)):
+        caps = [c for c in limits if c is not None]
         if not caps:
             raise UnboundedFiber(
                 f"source coordinate {r} is unconstrained: the matrix ignores it "
@@ -130,15 +102,12 @@ def effective_source_bounds(
 
 
 class FiberSolve:
-    """One query (a target and optional support caps), answered from one
-    series built on first use: the fiber block B(t) = [z^target] G(t, z) of
-    G(t, z) = G_X(t_1 z^(column 1), ..., t_d z^(column d)), i.e. the terms of
-    dist.pgf on the effective box whose image is the target. B(1) is
-    `prob_y` = P(Y = target), the generic denominator; B's derivatives at 1
-    are the generic numerators; its terms are the conditional pmf. The
-    closed form reads the family's product form instead. `fiber_size`
-    counts the fiber. The effective box holds every fiber point (or the
-    caller's cap), so the build needs no coverage check."""
+    """One query (a target and optional support caps), read off its fiber in
+    the effective box. A Poisson or multinomial law walks the residuals
+    (`core.fiber_sum`) with its product-form weights; a table keeps its
+    entries on the fiber. `fiber_size` is the same walk with unit weights
+    on the matrix alone. `closed_form` is the separate target-box route.
+    """
 
     def __init__(
         self,
@@ -153,23 +122,44 @@ class FiberSolve:
 
     @cached_property
     def fiber_size(self) -> int:
-        return count_fiber(self.matrix, self.target, self.bounds)
+        return fiber_sum(self.matrix, self.target, [[1] * (b + 1) for b in self.bounds])
 
     @cached_property
-    def block(self) -> TruncatedSeries:
-        source = self.dist.pgf(self.bounds)
-        fiber = {
-            j: c
-            for j, c in source.terms.items()
-            if monomial_image(self.matrix, j) == self.target
-        }
-        return TruncatedSeries(self.bounds, source.mode, fiber)
+    def _walk(self) -> tuple:
+        """(matrix, target, tables, start) with P(X = j) = start * prod_r
+        tables[r][j_r] on the fiber of that matrix and target."""
+        dist = self.dist
+        matrix, target = with_ones_row(dist, self.matrix, self.target)
+        start = Fraction(math.factorial(dist.trials)) if dist.mode == EXACT else 1.0
+        return matrix, target, product_weights(dist, self.bounds), start
+
+    @cached_property
+    def _table_fiber(self) -> list:
+        return [(j, p) for j, p in self.dist.entries.items() if within_box(j, self.bounds)
+                and monomial_image(self.matrix, j) == self.target]
+
+    def _fiber_sum(self, orders):
+        """Sum over the fiber of P(X = j) * prod_r perm(j_r, orders[r]). At
+        order 0 every factor perm(x, 0) = 1 is still applied, so the sum
+        repeats the operations of P(Y = target) bit for bit."""
+        if isinstance(self.dist, Table):
+            total = Fraction(0) if self.dist.mode == EXACT else 0.0
+            for j, p in self._table_fiber:
+                total += math.prod(map(math.perm, j, orders), start=p)
+            return total
+        matrix, target, weights, start = self._walk
+        tables = [[w * math.perm(x, s) for x, w in enumerate(ws)]
+                  for ws, s in zip(weights, orders)]
+        return fiber_sum(matrix, target, tables, start)
 
     @cached_property
     def prob_y(self):
-        return self.block.evaluate((1,) * self.matrix.num_sources)
+        return self._fiber_sum((0,) * self.matrix.num_sources)
 
-    def _raise_vanishing(self):
+    def _nonzero(self, denominator):
+        """`denominator`, unless it is 0: then the FiberError that says why."""
+        if denominator != 0:
+            return denominator
         if self.fiber_size == 0:
             raise EmptyFiber(
                 f"no nonnegative integer solution of image(j) == {self.target} "
@@ -180,20 +170,11 @@ class FiberSolve:
             "(solutions exist but carry no mass)"
         )
 
-    def _denominator(self):
-        if self.prob_y == 0:
-            self._raise_vanishing()
-        return self.prob_y
-
     def moment(self, orders: Sequence[int]):
-        """See conditional_factorial_moment: the derivative of B of the given
-        orders, at 1, over B(1)."""
+        """See conditional_factorial_moment."""
         _check_shapes(self.dist, self.matrix, self.target, orders)
-        denominator = self._denominator()
-        numerator = self.block
-        for r, order in enumerate(orders):
-            numerator = numerator.partial_derivative(r, order)
-        return numerator.evaluate((1,) * len(orders)) / denominator
+        denominator = self._nonzero(self.prob_y)
+        return self._fiber_sum(orders) / denominator
 
     def closed_form(self, orders: Sequence[int]):
         """prod_r c_r**orders[r] * [z^(m - A' orders)] F' / [z^m] F for the
@@ -203,17 +184,13 @@ class FiberSolve:
         poisson_conditional_moment and multinomial_conditional_moment."""
         dist, matrix, caps = self.dist, self.matrix, self.support_bounds
         _check_shapes(dist, matrix, self.target, orders)
-        if isinstance(dist, Poisson):
-            coeffs, m, shift = dist.rates, self.target, monomial_image(matrix, orders)
-        elif isinstance(dist, Multinomial):
-            coeffs, m = dist.probs, self.target + (dist.trials,)
-            shift = monomial_image(matrix, orders) + (sum(orders),)
-        else:
+        if isinstance(dist, Table):
             return None
+        coeffs = dist.rates if isinstance(dist, Poisson) else dist.probs
+        ones, m = with_ones_row(dist, matrix, self.target)
+        shift = monomial_image(ones, orders)
         whole = product_form(dist, matrix, self.target, self.bounds)
-        denominator = whole.coefficient(m)
-        if denominator == 0:
-            self._raise_vanishing()
+        denominator = self._nonzero(whole.coefficient(m))
         reduced_m = tuple(a - b for a, b in zip(m, shift))
         reduced_caps = () if caps is None else tuple(b - s for b, s in zip(caps, orders))
         if min(reduced_m + reduced_caps) < 0:
@@ -224,9 +201,13 @@ class FiberSolve:
         return prefactor * numerator.coefficient(reduced_m) / denominator
 
     def pmf(self) -> dict:
-        """See conditional_pmf: the terms of B over B(1)."""
-        total = self._denominator()
-        return {j: c / total for j, c in self.block.terms.items()}
+        """See conditional_pmf: each fiber point's mass over P(Y = target)."""
+        total = self._nonzero(self.prob_y)
+        if isinstance(self.dist, Table):
+            points = [(j, p) for j, p in self._table_fiber if p]
+        else:
+            points = fiber_points(*self._walk)
+        return {j: p / total for j, p in points}
 
 
 def pgf_of_Y(
@@ -243,11 +224,10 @@ def pgf_of_Y(
     effective box."""
     target = check_exponents(target)
     bounds = effective_source_bounds(dist, matrix, target, support_bounds)
-    if isinstance(dist, Poisson):
-        return product_form(dist, matrix, target, bounds)
-    if isinstance(dist, Multinomial):
-        return trials_slice(product_form(dist, matrix, target, bounds), dist.trials)
-    return monomial_substitute(dist.pgf(bounds), matrix, target, check_coverage=False)
+    if isinstance(dist, Table):
+        return monomial_substitute(dist.pgf(bounds), matrix, target, check_coverage=False)
+    series = product_form(dist, matrix, target, bounds)
+    return trials_slice(series, dist.trials) if isinstance(dist, Multinomial) else series
 
 
 def conditional_pmf(
@@ -270,12 +250,12 @@ def conditional_factorial_moment(
     matrix: TransformMatrix,
     query: ConditionalQuery,
 ) -> "Fraction | float":
-    """Conditional factorial moment through the generating-function pipeline.
+    """Conditional factorial moment through the generic leg.
 
-    Differentiates the fiber block `query.orders[r]` times in source
-    variable r, evaluates it at 1 and divides by P(Y = target), the block's
-    value at 1. Works for any of the supported distributions; the closed
-    forms below are fast paths for two of them.
+    Sums P(X = j) prod_r perm(j_r, orders[r]) over the fiber and divides by
+    P(Y = target), the same sum at order 0 (see FiberSolve). Works for any
+    of the supported distributions; the closed forms below are a separate
+    route for two of them.
     """
     solve = FiberSolve(dist, matrix, query.target, query.support_bounds)
     return solve.moment(query.orders)

@@ -12,6 +12,8 @@ there is deliberately no checked-arithmetic layer here.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -140,12 +142,6 @@ class TransformMatrix:
     def column(self, r: int) -> tuple:
         return tuple(row[r] for row in self.rows)
 
-    def zero_columns(self) -> tuple:
-        """Indices of source coordinates the matrix ignores entirely."""
-        return tuple(
-            r for r in range(self.num_sources) if all(row[r] == 0 for row in self.rows)
-        )
-
 
 def monomial_image(matrix: TransformMatrix, exponents: Sequence[int]) -> tuple:
     """Push a source exponent vector forward: component i is sum_r a[i][r]*j[r].
@@ -183,18 +179,43 @@ def fiber_degree_bounds(matrix: TransformMatrix, target: Sequence[int]):
     return bounds
 
 
-def count_fiber(matrix: TransformMatrix, target: Sequence[int], bounds: Sequence[int]) -> int:
-    """Number of j with image(j) == target and 0 <= j <= bounds: a dynamic
-    program over the source coordinates that keeps only the number of ways
-    to reach each residual target - partial image."""
-    ways = {tuple(target): 1}
-    for r, cap in enumerate(bounds):
-        col = matrix.column(r)
-        step = {}
-        for residual, n in ways.items():
-            hi = min([cap] + [x // a for x, a in zip(residual, col) if a > 0])
-            for v in range(hi + 1):
-                nxt = tuple(x - v * a for x, a in zip(residual, col))
-                step[nxt] = step.get(nxt, 0) + n
-        ways = step
-    return ways.get((0,) * matrix.num_targets, 0)
+def _steps(column, table, residual, last=False) -> list:
+    """(x, residual - x * column) for each x with a nonzero table[x] that
+    keeps the residual nonnegative; for the last coordinate only those that
+    empty it, found directly: just the largest x can, unless column is 0."""
+    hi = min([len(table) - 1] + [v // a for v, a in zip(residual, column) if a > 0])
+    xs = (hi,) if last and any(column) else range(hi + 1)
+    steps = [(x, tuple(v - x * a for v, a in zip(residual, column))) for x in xs if table[x]]
+    return [s for s in steps if not any(s[1])] if last else steps
+
+
+def fiber_sum(matrix: TransformMatrix, target: Sequence[int], tables, start=1):
+    """start * sum of prod_r tables[r][j_r] over j with image(j) == target and
+    j_r < len(tables[r]), by a dynamic program over the coordinates that
+    keeps one partial sum per residual target - partial image. Unit tables
+    count the fiber; an unreachable target gives the zero of start's type."""
+    sums = {tuple(target): start}
+    for r, table in enumerate(tables):
+        column, step, last = matrix.column(r), {}, r == len(tables) - 1
+        for residual, acc in sums.items():
+            for x, nxt in _steps(column, table, residual, last):
+                step[nxt] = step.get(nxt, 0) + acc * table[x]
+        sums = step
+    return sums.get((0,) * matrix.num_targets, 0 * start)
+
+
+def fiber_points(matrix: TransformMatrix, target: Sequence[int], tables, start=1) -> list:
+    """[(j, start * prod_r tables[r][j_r])] over the j of fiber_sum with every
+    table entry nonzero, in lexicographic order. Each residual is entered
+    once, with the tails that take it to 0; one that cannot adds no point."""
+    d = len(tables)
+
+    @functools.cache
+    def tails(r, residual):
+        if r == d:
+            return [()]  # the last step emptied the residual
+        steps = _steps(matrix.column(r), tables[r], residual, r == d - 1)
+        return [(x,) + tail for x, nxt in steps for tail in tails(r + 1, nxt)]
+
+    return [(j, math.prod((table[x] for table, x in zip(tables, j)), start=start))
+            for j in tails(0, tuple(target))]

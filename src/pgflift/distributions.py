@@ -5,7 +5,8 @@ build its probability generating function on a degree box, and how to
 evaluate its pmf pointwise. Poisson and multinomial build their own pgf and
 that of any aggregate image(X) from one product of per-coordinate factors
 (`product_form`), the multinomial as Poisson counts conditioned on their
-total. The pgf paths feed the series pipeline; the pmf path exists so that
+total; the factor weights (`product_weights`) also drive the conditioning
+walk. The pgf paths feed the series pipeline; the pmf path exists so that
 brute-force verification can price outcomes without touching any series code.
 
 Poisson coefficients involve exp(-rate) and therefore live in float mode.
@@ -70,12 +71,7 @@ class Poisson:
 
     def pgf(self, bounds: Optional[Sequence[int]] = None) -> TruncatedSeries:
         """prod_r exp(rate_r * (t_r - 1)), truncated to the box: the product
-        form with identity columns.
-
-        Built by the rate**x / x! recurrence rather than from the log-space
-        pmf formula on purpose: tests compare the two routes against each
-        other.
-        """
+        form with identity columns."""
         box = (
             self.default_truncation()
             if bounds is None
@@ -230,35 +226,51 @@ class Table:
 Distribution = Union[Poisson, Multinomial, Table]
 
 
+def product_weights(dist, bounds) -> list:
+    """[w_r(0), ..., w_r(bounds[r])] for each coordinate r: the factor
+    weights of the product form, exp(-rate) rate**x / x! for a Poisson (float)
+    and p**x / x! for a multinomial (exact), by the recurrence rather than
+    the log-space pmf formula on purpose (tests compare the two routes)."""
+    poisson = isinstance(dist, Poisson)
+    one, out = (1.0 if poisson else Fraction(1)), []
+    for c, b in zip(dist.rates if poisson else dist.probs, bounds):
+        scale, weight, ws = (math.exp(-c) if poisson else 1), one, []
+        for x in range(b + 1):
+            ws.append(scale * weight)
+            weight = weight * c * (one / (x + 1))
+        out.append(ws)
+    return out
+
+
+def with_ones_row(dist, matrix: TransformMatrix, target) -> tuple:
+    """(matrix, target) of the product form: a multinomial, read as
+    independent Poisson(p_r) counts conditioned on their total, appends an
+    all-ones row to the matrix and its trials to the target."""
+    if isinstance(dist, Multinomial):
+        ones = TransformMatrix(matrix.rows + ((1,) * dist.dim,))
+        return ones, tuple(target) + (dist.trials,)
+    return matrix, tuple(target)
+
+
 def product_form(dist, matrix: TransformMatrix, box, bounds) -> TruncatedSeries:
-    """prod_r sum_{x <= bounds[r]} w_r(x) z^(x * column r), expanded on `box`.
+    """prod_r sum_{x <= bounds[r]} w_r(x) z^(x * column r), expanded on `box`,
+    with the weights of `product_weights`.
 
     The factors are independent, so cutting factor r at bounds[r] is exactly
     confining X_r to [0, bounds[r]]; a zero column contributes the scalar
-    sum of its weights. Poisson weights are exp(-rate_r) rate_r**x / x!, in
-    float mode. A multinomial is independent Poisson(p_r) counts conditioned
-    on their total: its weights are p_r**x / x!, exact, and the matrix gains
-    an all-ones row, so the result has one more variable, the number of
-    balls, on the box `box` followed by `trials` (see `trials_slice`).
+    sum of its weights. A multinomial goes through `with_ones_row`: the
+    result has one more variable, the number of balls (see `trials_slice`).
     """
-    if isinstance(dist, Poisson):
-        mode, one, coeffs, rows = FLOAT, 1.0, dist.rates, matrix.rows
-    else:
-        mode, one, coeffs = EXACT, Fraction(1), dist.probs
-        rows = matrix.rows + ((1,) * dist.dim,)
-        box = tuple(box) + (dist.trials,)
-    out = TruncatedSeries.one(box, mode)
-    for c, b, column in zip(coeffs, bounds, zip(*rows)):
-        # c**x / x! by recurrence; exponents only grow with x, so the first
-        # one outside the box ends the factor
-        scale, weight, factor = (math.exp(-c) if mode == FLOAT else 1), one, {}
-        for x in range(b + 1):
+    matrix, box = with_ones_row(dist, matrix, box)
+    out = TruncatedSeries.one(box, dist.mode)
+    for r, ws in enumerate(product_weights(dist, bounds)):
+        column, factor = matrix.column(r), {}
+        for x, w in enumerate(ws):
             k = tuple(a * x for a in column)
             if not within_box(k, box):
-                break
-            factor[k] = factor.get(k, 0) + scale * weight
-            weight = weight * c * (one / (x + 1))
-        out = out * TruncatedSeries(box, mode, factor)
+                break  # exponents only grow with x
+            factor[k] = factor.get(k, 0) + w
+        out = out * TruncatedSeries(box, dist.mode, factor)
     return out
 
 

@@ -32,8 +32,10 @@ def enumerate_fiber(
     Depth-first over the source coordinates, first coordinate outermost,
     keeping the running residual target - partial image; a coordinate's range
     is capped by the residual divided by its positive column entries, and by
-    its support bound if one is given. A coordinate with an all-zero column
-    and no support bound makes the fiber infinite: UnboundedFiber.
+    its support bound if one is given. The last coordinate is settled
+    directly: only its largest value can empty a residual, unless its column
+    is zero. A coordinate with an all-zero column and no support bound makes
+    the fiber infinite: UnboundedFiber.
 
     `support_bounds` may be None, or a sequence with one int (or None) per
     source coordinate.
@@ -59,16 +61,17 @@ def enumerate_fiber(
     out = []
 
     def walk(r, residual, prefix):
-        if r == d:
-            if all(x == 0 for x in residual):
-                out.append(prefix)
-            return
         col = [row[r] for row in matrix.rows]
         hi = caps[r]
         for i, a in enumerate(col):
             if a > 0:
                 q = residual[i] // a
                 hi = q if hi is None else min(hi, q)
+        if r == d - 1:
+            for v in range(hi + 1) if not any(col) else (hi,):
+                if all(x == v * a for x, a in zip(residual, col)):
+                    out.append(prefix + (v,))
+            return
         for v in range(hi + 1):
             walk(
                 r + 1,
@@ -80,19 +83,27 @@ def enumerate_fiber(
     return out
 
 
-def _merged_caps(dist, support_bounds):
-    natural = dist.support_bound()
-    if support_bounds is None:
-        return natural
-    merged = []
-    for n, u in zip(natural, support_bounds):
-        if n is None:
-            merged.append(u)
-        elif u is None:
-            merged.append(n)
-        else:
-            merged.append(min(n, u))
-    return tuple(merged)
+def _fiber(dist, matrix, target, support_bounds, orders=None):
+    """enumerate_fiber within the distribution's support and the caps, after
+    the shape checks; EmptyFiber when it has no point."""
+    if dist.dim != matrix.num_sources:
+        raise DimensionMismatch(
+            f"distribution has {dist.dim} coordinates, matrix expects "
+            f"{matrix.num_sources}"
+        )
+    if orders is not None and len(orders) != matrix.num_sources:
+        raise DimensionMismatch(
+            f"orders have length {len(orders)}, expected {matrix.num_sources}"
+        )
+    given = (None,) * dist.dim if support_bounds is None else support_bounds
+    caps = [min((c for c in pair if c is not None), default=None)
+            for pair in zip(dist.support_bound(), given)]
+    fiber = enumerate_fiber(matrix, target, caps)
+    if not fiber:
+        raise EmptyFiber(
+            f"no nonnegative integer solution of image(j) == {tuple(target)}"
+        )
+    return fiber
 
 
 def oracle_conditional_moment(dist, matrix: TransformMatrix, query) -> "Fraction | float":
@@ -101,23 +112,8 @@ def oracle_conditional_moment(dist, matrix: TransformMatrix, query) -> "Fraction
     sum over fiber of prod_r perm(j_r, orders_r) * pmf(j), divided by the
     fiber's total mass. Exact when the distribution's pmf is exact.
     """
-    if dist.dim != matrix.num_sources:
-        raise DimensionMismatch(
-            f"distribution has {dist.dim} coordinates, matrix expects "
-            f"{matrix.num_sources}"
-        )
     orders = check_exponents(query.orders)
-    if len(orders) != matrix.num_sources:
-        raise DimensionMismatch(
-            f"orders have length {len(orders)}, expected {matrix.num_sources}"
-        )
-    fiber = enumerate_fiber(
-        matrix, query.target, _merged_caps(dist, query.support_bounds)
-    )
-    if not fiber:
-        raise EmptyFiber(
-            f"no nonnegative integer solution of image(j) == {tuple(query.target)}"
-        )
+    fiber = _fiber(dist, matrix, query.target, query.support_bounds, orders)
     zero = 0.0 if dist.mode == "float" else Fraction(0)
     numerator = zero
     denominator = zero
@@ -137,17 +133,7 @@ def oracle_conditional_moment(dist, matrix: TransformMatrix, query) -> "Fraction
 
 def oracle_conditional_pmf(dist, matrix: TransformMatrix, target, support_bounds=None):
     """{outcome: conditional probability} by direct fiber summation."""
-    if dist.dim != matrix.num_sources:
-        raise DimensionMismatch(
-            f"distribution has {dist.dim} coordinates, matrix expects "
-            f"{matrix.num_sources}"
-        )
-    fiber = enumerate_fiber(matrix, target, _merged_caps(dist, support_bounds))
-    if not fiber:
-        raise EmptyFiber(
-            f"no nonnegative integer solution of image(j) == {tuple(target)}"
-        )
-    masses = {j: dist.pmf(j) for j in fiber}
+    masses = {j: dist.pmf(j) for j in _fiber(dist, matrix, target, support_bounds)}
     total = sum(masses.values())
     if total == 0:
         raise ZeroProbability(

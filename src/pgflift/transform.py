@@ -92,8 +92,8 @@ def joint_pgf(
     Term b_j t^j of the input becomes b_j t^j z^(image(j)); the result lives
     in num_sources + num_targets variables with box source_bounds followed by
     target_bounds. Setting the whole t-block to 1 recovers
-    monomial_substitute; differentiating in the t-block before doing so is
-    how conditional factorial moments are extracted downstream.
+    monomial_substitute; differentiating in the t-block before doing so
+    gives the numerators of conditional factorial moments.
     """
     if series.num_vars != matrix.num_sources:
         raise DimensionMismatch(

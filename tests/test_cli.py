@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -10,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from pgflift import (
     FLOAT,
     ConditionalQuery,
+    FiberError,
     Multinomial,
     Poisson,
     Table,
+    TruncatedSeries,
     closed_form_moment,
     conditional_factorial_moment,
     conditional_pmf,
@@ -23,6 +24,7 @@ from pgflift import (
     oracle_conditional_moment,
 )
 from pgflift import transform
+from pgflift.conditioning import FiberSolve
 from pgflift.cli import (
     ConfigError,
     JobConfig,
@@ -263,34 +265,46 @@ class TestOneSolvePerQuery:
     @pytest.mark.parametrize(
         "name", ["golden_poisson.json", "golden_multinomial.json", "golden_table.json"]
     )
-    def test_one_source_pgf_and_at_most_one_joint(self, name, monkeypatch):
+    def test_generic_reads_build_no_series(self, name, monkeypatch):
+        # fiber_size, prob_y, the generic moment and the pmf are sums over
+        # the fiber: no source pgf, no joint series, no series at all
         job = parse_config(read(name))
         calls = []
 
         def counting(kind, fn):
             def wrapper(*args, **kwargs):
-                calls.append((kind, args[0]))
+                calls.append(kind)
                 return fn(*args, **kwargs)
             return wrapper
 
         for cls in (Poisson, Multinomial, Table):
             monkeypatch.setattr(cls, "pgf", counting("pgf", cls.pgf))
         monkeypatch.setattr(transform, "joint_pgf", counting("joint", transform.joint_pgf))
-        for query, want_pmf in zip(job.queries, job.include_pmf):
-            calls.clear()
-            one = dataclasses.replace(job, queries=[query], include_pmf=[want_pmf])
-            run(one, verify=True)
-            # the block is the only pgf build; the closed form reads the
-            # product form instead
-            source_builds = [d for kind, d in calls if kind == "pgf"]
-            joints = [s for kind, s in calls if kind == "joint"]
-            assert len(source_builds) == 1 and source_builds[0] is job.distribution
-            assert joints == []
+        monkeypatch.setattr(
+            TruncatedSeries, "__init__", counting("series", TruncatedSeries.__init__)
+        )
+        for query in job.queries:
+            solve = FiberSolve(
+                job.distribution, job.matrix, query.target, query.support_bounds
+            )
+            fields = [
+                lambda: solve.fiber_size,
+                lambda: solve.prob_y,
+                lambda: solve.moment(query.orders),
+                solve.pmf,
+            ]
+            for field in fields:
+                try:
+                    field()
+                except FiberError:
+                    pass
+            assert calls == []
 
 
 def expected_row(job, index, query, want_pmf, verify, max_pmf_rows):
     """A report row assembled from the public functions, one call per field,
-    in the order the command line fills the row."""
+    in the order the command line fills the row. prob_Y is the push of the
+    source pgf, exactly in exact mode."""
     dist, matrix, mode = job.distribution, job.matrix, job.mode
     row = {
         "query_index": index, "k": list(query.target), "s": list(query.orders),
@@ -303,8 +317,14 @@ def expected_row(job, index, query, want_pmf, verify, max_pmf_rows):
         row["fiber_size"] = len(enumerate_fiber(matrix, query.target, bounds))
         pushed = monomial_substitute(
             dist.pgf(bounds), matrix, query.target, check_coverage=False
-        )
-        row["prob_Y"] = _format_value(pushed.coefficient(query.target), mode)
+        ).coefficient(query.target)
+        if mode == FLOAT:
+            # the fiber walk adds in another order than the push: within
+            # 1e-12 relative, and the row prints the walk's value
+            walked = FiberSolve(dist, matrix, query.target, query.support_bounds).prob_y
+            assert walked == pytest.approx(pushed, rel=1e-12, abs=0.0)
+            pushed = walked
+        row["prob_Y"] = _format_value(pushed, mode)
         generic = conditional_factorial_moment(dist, matrix, query)
         closed = closed_form_moment(dist, matrix, query)
         oracle = oracle_conditional_moment(dist, matrix, query) if verify else None

@@ -26,10 +26,12 @@ from pgflift import (
     monomial_substitute,
     multinomial_conditional_moment,
     oracle_conditional_moment,
+    oracle_conditional_pmf,
     pgf_of_Y,
     poisson_conditional_moment,
 )
 
+from pgflift import conditioning
 from pgflift.conditioning import FiberSolve
 
 from support import attainable_targets, small_laws, small_queries
@@ -110,8 +112,7 @@ class TestTargetBoxRoute:
             _assert_close(got, want)
 
     def test_baseline_scale_multinomial(self):
-        # N=30 over a 16x16 target box; the generic leg is left out because it
-        # expands the 4-variable source box
+        # N=30 over a 16x16 target box, all three routes
         dist = Multinomial(30, [Fraction(1, 4)] * 4)
         matrix = TransformMatrix([[1, 1, 0, 0], [0, 0, 1, 1]])
         g = pgf_of_Y(dist, matrix, (15, 15))
@@ -119,23 +120,25 @@ class TestTargetBoxRoute:
         query = ConditionalQuery((15, 15), (1, 1, 0, 0))
         closed = multinomial_conditional_moment(dist, matrix, query)
         assert closed == oracle_conditional_moment(dist, matrix, query)
+        assert closed == conditional_factorial_moment(dist, matrix, query)
         assert closed == Fraction(105, 2)
 
 
 def _fail_on_call(*args, **kwargs):
-    raise AssertionError("the closed form built a source pgf or the fiber block")
+    raise AssertionError("the closed form built a source pgf or walked the fiber")
 
 
 class TestClosedFormIsASeparateRoute:
-    """The closed forms read the product form only: no source pgf, no fiber
-    block, so they share no series with the generic leg. The oracle runs
-    under the same guards."""
+    """The closed forms read the product form on the target box only: no
+    source pgf and no walk over the fiber, so they share no sum with the
+    generic leg. The oracle runs under the same guards."""
 
     @pytest.fixture(autouse=True)
     def forbid_source_series(self, monkeypatch):
         for cls in (Poisson, Multinomial):
             monkeypatch.setattr(cls, "pgf", _fail_on_call)
-        monkeypatch.setattr(FiberSolve, "block", property(_fail_on_call))
+        for name in ("fiber_sum", "fiber_points"):
+            monkeypatch.setattr(conditioning, name, _fail_on_call)
 
     @pytest.mark.parametrize(
         "closed_form", [closed_form_moment, multinomial_conditional_moment]
@@ -176,15 +179,57 @@ class TestClosedFormIsASeparateRoute:
 
 
 class TestFiberSolve:
-    def test_block_is_the_only_series_kept(self):
+    @given(target_box_cases())
+    @example(  # a zero-mass table entry on the fiber is no pmf row
+        (Table({(1, 0): "1/2", (0, 1): "0", (2, 2): "1/2"}), TransformMatrix([[1, 1]]),
+         (1,), None, (0, 0))
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_generic_read_matches_the_oracle(self, case):
+        # exact laws exactly, Poisson within 1e-12 relative
+        dist, matrix, target, caps, orders = case
+
+        def same(value):
+            if isinstance(dist, Poisson):
+                return pytest.approx(value, rel=1e-12, abs=0.0)
+            return value
+
+        solve = FiberSolve(dist, matrix, target, caps)
+        bounds = effective_source_bounds(dist, matrix, target, caps)
+        fiber = enumerate_fiber(matrix, target, bounds)
+        assert solve.fiber_size == len(fiber)
+        zero = 0.0 if dist.mode == FLOAT else Fraction(0)
+        assert solve.prob_y == same(sum((dist.pmf(j) for j in fiber), zero))
+        query = ConditionalQuery(target, orders, caps)
+        try:
+            moment = oracle_conditional_moment(dist, matrix, query)
+            pmf = oracle_conditional_pmf(dist, matrix, target, caps)
+        except FiberError as err:
+            for read in (lambda: solve.moment(orders), solve.pmf):
+                with pytest.raises(type(err)):
+                    read()
+            return
+        assert solve.moment(orders) == same(moment)
+        got = solve.pmf()
+        assert set(got) == set(pmf)
+        for j, p in pmf.items():
+            assert got[j] == same(p)
+
+    def test_wide_multinomial_both_routes(self):
+        # 8 cells in two blocks of 4: the fiber has 3,136,441 points
+        dist = Multinomial(40, [Fraction(1, 8)] * 8)
+        matrix = TransformMatrix([[1, 1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1]])
+        query = ConditionalQuery((20, 20), (1, 0, 1, 0, 0, 2, 0, 0))
+        assert conditional_factorial_moment(dist, matrix, query) == Fraction(9025, 16)
+        assert closed_form_moment(dist, matrix, query) == Fraction(9025, 16)
+
+    def test_the_solve_keeps_no_series(self):
         dist = Table({(0, 0): "1/2", (1, 1): "1/2"})
         solve = FiberSolve(dist, TransformMatrix([[1, 1]]), (2,))
         assert solve.prob_y == Fraction(1, 2)
         assert solve.moment((1, 0)) == 1
         assert solve.pmf() == {(1, 1): 1}
-        kept = [name for name, v in vars(solve).items() if isinstance(v, TruncatedSeries)]
-        assert kept == ["block"]
-        assert solve.block == TruncatedSeries((1, 1), EXACT, {(1, 1): Fraction(1, 2)})
+        assert not [v for v in vars(solve).values() if isinstance(v, TruncatedSeries)]
 
 
 class TestConditionalPmf:
@@ -341,7 +386,7 @@ class TestAgreement:
             matrix = TransformMatrix(
                 [[rng.randint(0, 2) for _ in range(d)] for _ in range(m)]
             )
-            if matrix.zero_columns():
+            if any(not any(col) for col in zip(*matrix.rows)):
                 continue
             dist = Poisson([rng.uniform(0.3, 2.5) for _ in range(d)])
             k = tuple(rng.randint(0, 8) for _ in range(m))

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pgflift import (
     ConditionalQuery,
@@ -21,7 +22,40 @@ from pgflift import (
 )
 
 
+@st.composite
+def capped_lattices(draw):
+    """(matrix, target, caps): entries 0..2, so zero rows and zero columns
+    occur; a zero column is always capped, other caps are None or 0..4."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                         min_size=m, max_size=m))
+    caps = tuple(
+        draw(st.integers(0, 4) if not any(col) else st.none() | st.integers(0, 4))
+        for col in zip(*rows)
+    )
+    target = draw(st.tuples(*[st.integers(0, 6)] * m))
+    return TransformMatrix(rows), target, caps
+
+
 class TestEnumerateFiber:
+    @given(capped_lattices())
+    @example((TransformMatrix([[1, 0]]), (2,), (None, 0)))  # capped zero column, cap 0
+    @example((TransformMatrix([[0, 1], [0, 0]]), (1, 0), (3, None)))  # zero row
+    @example((TransformMatrix([[1, 1, 0]]), (3,), (0, 0, 2)))  # caps 0 empty it
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_filtered_box_in_order(self, case):
+        # the box: the cap, or the largest target entry, which no coordinate
+        # with a positive column entry can exceed
+        matrix, target, caps = case
+        box = [max(target) if c is None else c for c in caps]
+        want = [
+            j
+            for j in itertools.product(*(range(b + 1) for b in box))
+            if monomial_image(matrix, j) == target
+        ]
+        assert enumerate_fiber(matrix, target, caps) == want
+
     def test_compositions_of_three(self):
         got = enumerate_fiber(TransformMatrix([[1, 1]]), (3,))
         assert got == [(0, 3), (1, 2), (2, 1), (3, 0)]
@@ -45,7 +79,7 @@ class TestEnumerateFiber:
             matrix = TransformMatrix(
                 [[rng.randint(0, 3) for _ in range(d)] for _ in range(m)]
             )
-            if matrix.zero_columns():
+            if any(not any(col) for col in zip(*matrix.rows)):
                 continue
             k = tuple(rng.randint(0, 6) for _ in range(m))
             fiber = enumerate_fiber(matrix, k)
@@ -61,7 +95,7 @@ class TestEnumerateFiber:
             matrix = TransformMatrix(
                 [[rng.randint(0, 3) for _ in range(d)] for _ in range(m)]
             )
-            if matrix.zero_columns():
+            if any(not any(col) for col in zip(*matrix.rows)):
                 continue
             k = tuple(rng.randint(0, 6) for _ in range(m))
             side = max(k, default=0)
