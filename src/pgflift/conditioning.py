@@ -10,9 +10,12 @@ tagged by its image, which is a sum over that fiber:
                                 over P(Y = k),
   conditional pmf               each P(X = j), over P(Y = k).
 
-`FiberSolve` takes these sums without any series. The closed forms read two
-coefficients of the family's product form on the target box
-(`distributions.product_form`), a separate route; the oracle lists the fiber.
+`FiberSolve` takes these sums without any series. A Poisson or multinomial
+law enters through its one product-form description
+(`distributions.product_terms`), and both of its routes read the same
+weights: the walk over the fiber, and the closed forms, a separate route
+that reads two coefficients of the product form on the target box. The
+oracle lists the fiber.
 """
 
 from __future__ import annotations
@@ -28,11 +31,9 @@ from .core import (
     check_exponents, fiber_degree_bounds, fiber_points, fiber_sum, monomial_image, within_box,
 )
 from .distributions import (
-    Distribution, Multinomial, Poisson, Table, product_form, product_weights, trials_slice,
-    with_ones_row,
+    Distribution, Multinomial, Poisson, Table, image_pgf, product_form, product_terms,
 )
 from .series import TruncatedSeries
-from .transform import monomial_substitute
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def effective_source_bounds(
 class FiberSolve:
     """One query (a target and optional support caps), read off its fiber in
     the effective box. A Poisson or multinomial law walks the residuals
-    (`core.fiber_sum`) with its product-form weights; a table keeps its
+    (`core.fiber_sum`) with its product-form description; a table keeps its
     entries on the fiber. `fiber_size` is the same walk with unit weights
     on the matrix alone. `closed_form` is the separate target-box route.
     """
@@ -126,17 +127,15 @@ class FiberSolve:
 
     @cached_property
     def _walk(self) -> tuple:
-        """(matrix, target, tables, start) with P(X = j) = start * prod_r
-        tables[r][j_r] on the fiber of that matrix and target."""
-        dist = self.dist
-        matrix, target = with_ones_row(dist, self.matrix, self.target)
-        start = Fraction(math.factorial(dist.trials)) if dist.mode == EXACT else 1.0
-        return matrix, target, product_weights(dist, self.bounds), start
+        """The law's product form in the effective box: (matrix, target,
+        weights, start), see `distributions.product_terms`."""
+        return product_terms(self.dist, self.matrix, self.target, self.bounds)
 
     @cached_property
     def _table_fiber(self) -> list:
+        # the Table constructor checked every outcome, so no image re-checks it
         return [(j, p) for j, p in self.dist.entries.items() if within_box(j, self.bounds)
-                and monomial_image(self.matrix, j) == self.target]
+                and self.matrix.image(j) == self.target]
 
     def _fiber_sum(self, orders):
         """Sum over the fiber of P(X = j) * prod_r perm(j_r, orders[r]). At
@@ -178,25 +177,24 @@ class FiberSolve:
 
     def closed_form(self, orders: Sequence[int]):
         """prod_r c_r**orders[r] * [z^(m - A' orders)] F' / [z^m] F for the
-        family's product form F (c the rates or the probs; a multinomial
-        appends an all-ones row to A and the trials to m), F' cut at the caps
-        lowered by `orders`; None for a family without one. See
+        product form F of the solve's description (A' and m its matrix and
+        target, c the rates or the probs), F' with each weight list cut at
+        the cap lowered by `orders`; None for a family without one. See
         poisson_conditional_moment and multinomial_conditional_moment."""
-        dist, matrix, caps = self.dist, self.matrix, self.support_bounds
-        _check_shapes(dist, matrix, self.target, orders)
+        dist, caps = self.dist, self.support_bounds
+        _check_shapes(dist, self.matrix, self.target, orders)
         if isinstance(dist, Table):
             return None
         coeffs = dist.rates if isinstance(dist, Poisson) else dist.probs
-        ones, m = with_ones_row(dist, matrix, self.target)
-        shift = monomial_image(ones, orders)
-        whole = product_form(dist, matrix, self.target, self.bounds)
+        matrix, m, weights, _ = self._walk
+        whole = product_form(matrix, m, weights, dist.mode)
         denominator = self._nonzero(whole.coefficient(m))
-        reduced_m = tuple(a - b for a, b in zip(m, shift))
+        reduced_m = tuple(a - b for a, b in zip(m, monomial_image(matrix, orders)))
         reduced_caps = () if caps is None else tuple(b - s for b, s in zip(caps, orders))
         if min(reduced_m + reduced_caps) < 0:
             return 0 * denominator  # a zero of the coefficient type
         numerator = whole if caps is None else product_form(
-            dist, matrix, self.target, tuple(map(min, self.bounds, reduced_caps)))
+            matrix, m, [ws[:c + 1] for ws, c in zip(weights, reduced_caps)], dist.mode)
         prefactor = math.prod(c**s for c, s in zip(coeffs, orders))
         return prefactor * numerator.coefficient(reduced_m) / denominator
 
@@ -218,16 +216,11 @@ def pgf_of_Y(
 ) -> TruncatedSeries:
     """Generating function of Y = image(X) on the box [0, target]: the
     coefficient at k is P(Y = k), on the capped support if support_bounds is
-    given. Poisson and multinomial laws expand their product form in the
-    target box, each factor cut at the effective source bound (a multinomial
-    then keeps its `trials` slice); Tables push the terms of dist.pgf on the
-    effective box."""
+    given. It is `distributions.image_pgf` with X confined to the effective
+    source box."""
     target = check_exponents(target)
     bounds = effective_source_bounds(dist, matrix, target, support_bounds)
-    if isinstance(dist, Table):
-        return monomial_substitute(dist.pgf(bounds), matrix, target, check_coverage=False)
-    series = product_form(dist, matrix, target, bounds)
-    return trials_slice(series, dist.trials) if isinstance(dist, Multinomial) else series
+    return image_pgf(dist, matrix, target, bounds)
 
 
 def conditional_pmf(

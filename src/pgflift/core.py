@@ -21,10 +21,6 @@ from typing import Iterable, Sequence, Union
 EXACT = "exact"
 FLOAT = "float"
 
-# float-mode cleanup threshold: drops true zeros produced by cancellation,
-# never used to round small genuine values
-FLOAT_PURGE_EPS = 1e-300
-
 Coefficient = Union[Fraction, float]
 
 
@@ -99,19 +95,14 @@ def coerce_coefficient(value, mode: str) -> Coefficient:
     raise ValueError(f"unknown coefficient mode {mode!r}")
 
 
-def coefficient_is_zero(value: Coefficient, mode: str) -> bool:
-    if mode == EXACT:
-        return value == 0
-    return abs(value) < FLOAT_PURGE_EPS
-
-
 @dataclass(frozen=True)
 class TransformMatrix:
     """Nonnegative integer matrix mapping source multi-indices to target ones.
 
     `rows[i][r]` is the weight of source coordinate r in target coordinate i.
-    The matrix acts on exponent vectors via `monomial_image` and on nothing
-    else; it is shape-validated at construction and immutable afterwards.
+    The matrix acts on exponent vectors via `monomial_image` (or `image`, for
+    vectors checked already) and on nothing else; it is shape-validated at
+    construction and immutable afterwards.
     """
 
     rows: tuple
@@ -142,6 +133,11 @@ class TransformMatrix:
     def column(self, r: int) -> tuple:
         return tuple(row[r] for row in self.rows)
 
+    def image(self, j: Sequence[int]) -> tuple:
+        """Component i is sum_r a[i][r]*j[r], for a j already known to be a
+        vector of num_sources nonnegative ints; see monomial_image."""
+        return tuple(sum(a * e for a, e in zip(row, j)) for row in self.rows)
+
 
 def monomial_image(matrix: TransformMatrix, exponents: Sequence[int]) -> tuple:
     """Push a source exponent vector forward: component i is sum_r a[i][r]*j[r].
@@ -155,7 +151,7 @@ def monomial_image(matrix: TransformMatrix, exponents: Sequence[int]) -> tuple:
             f"exponent vector has length {len(j)}, matrix has "
             f"{matrix.num_sources} source coordinates"
         )
-    return tuple(sum(a * e for a, e in zip(row, j)) for row in matrix.rows)
+    return matrix.image(j)
 
 
 def fiber_degree_bounds(matrix: TransformMatrix, target: Sequence[int]):

@@ -2,11 +2,12 @@
 
 Each distribution knows its dimension, its natural coefficient mode, how to
 build its probability generating function on a degree box, and how to
-evaluate its pmf pointwise. Poisson and multinomial build their own pgf and
-that of any aggregate image(X) from one product of per-coordinate factors
-(`product_form`), the multinomial as Poisson counts conditioned on their
-total; the factor weights (`product_weights`) also drive the conditioning
-walk. The pgf paths feed the series pipeline; the pmf path exists so that
+evaluate its pmf pointwise. Poisson and multinomial laws factorise: each has
+one product-form description (`product_terms`), per-coordinate weights with
+P(X = j) proportional to their product, the multinomial as Poisson counts
+conditioned on their total. The conditioning walk and closed form read that
+description, and so does `image_pgf`, which builds the pgf of any aggregate
+image(X), the law's own pgf included. The pmf path exists so that
 brute-force verification can price outcomes without touching any series code.
 
 Poisson coefficients involve exp(-rate) and therefore live in float mode.
@@ -24,6 +25,7 @@ from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from .core import EXACT, FLOAT, TransformMatrix, check_bounds, check_exponents, within_box
 from .series import TruncatedSeries
+from .transform import monomial_substitute
 
 
 def to_fraction(value) -> Fraction:
@@ -77,7 +79,7 @@ class Poisson:
             if bounds is None
             else check_bounds(bounds, self.dim)
         )
-        return product_form(self, _identity(self.dim), box, box)
+        return image_pgf(self, _identity(self.dim), box, box)
 
     def pmf(self, outcome: Sequence[int]) -> float:
         j = check_exponents(outcome)
@@ -144,7 +146,7 @@ class Multinomial:
             if bounds is None
             else check_bounds(bounds, self.dim)
         )
-        return trials_slice(product_form(self, _identity(self.dim), box, box), self.trials)
+        return image_pgf(self, _identity(self.dim), box, box)
 
     def pmf(self, outcome: Sequence[int]) -> Fraction:
         j = check_exponents(outcome)
@@ -226,61 +228,64 @@ class Table:
 Distribution = Union[Poisson, Multinomial, Table]
 
 
-def product_weights(dist, bounds) -> list:
-    """[w_r(0), ..., w_r(bounds[r])] for each coordinate r: the factor
-    weights of the product form, exp(-rate) rate**x / x! for a Poisson (float)
-    and p**x / x! for a multinomial (exact), by the recurrence rather than
-    the log-space pmf formula on purpose (tests compare the two routes)."""
+def product_terms(dist, matrix: TransformMatrix, target, bounds) -> tuple:
+    """(matrix', target', weights, start), the product form of a Poisson or
+    multinomial law: P(X = j) = start * prod_r weights[r][j_r] for every j
+    in the box `bounds` with image'(j) == target', weights[r] listing
+    w_r(0), ..., w_r(bounds[r]).
+
+    A Poisson has w_r(x) = exp(-rate) rate**x / x! and start 1.0. A
+    multinomial is independent Poisson(p_r) counts conditioned on their
+    total: w_r(x) = p**x / x!, exact, an all-ones row appended to the matrix,
+    its trials to the target, and start trials!. The weights come from the
+    recurrence rather than the log-space pmf formula on purpose (tests
+    compare the two routes).
+    """
     poisson = isinstance(dist, Poisson)
-    one, out = (1.0 if poisson else Fraction(1)), []
+    one, weights = (1.0 if poisson else Fraction(1)), []
     for c, b in zip(dist.rates if poisson else dist.probs, bounds):
         scale, weight, ws = (math.exp(-c) if poisson else 1), one, []
         for x in range(b + 1):
             ws.append(scale * weight)
             weight = weight * c * (one / (x + 1))
-        out.append(ws)
-    return out
+        weights.append(ws)
+    if poisson:
+        return matrix, tuple(target), weights, 1.0
+    ones = TransformMatrix(matrix.rows + ((1,) * dist.dim,))
+    return ones, tuple(target) + (dist.trials,), weights, Fraction(math.factorial(dist.trials))
 
 
-def with_ones_row(dist, matrix: TransformMatrix, target) -> tuple:
-    """(matrix, target) of the product form: a multinomial, read as
-    independent Poisson(p_r) counts conditioned on their total, appends an
-    all-ones row to the matrix and its trials to the target."""
-    if isinstance(dist, Multinomial):
-        ones = TransformMatrix(matrix.rows + ((1,) * dist.dim,))
-        return ones, tuple(target) + (dist.trials,)
-    return matrix, tuple(target)
+def product_form(matrix: TransformMatrix, box, weights, mode: str) -> TruncatedSeries:
+    """prod_r sum_x weights[r][x] z^(x * column r), expanded on `box`.
 
-
-def product_form(dist, matrix: TransformMatrix, box, bounds) -> TruncatedSeries:
-    """prod_r sum_{x <= bounds[r]} w_r(x) z^(x * column r), expanded on `box`,
-    with the weights of `product_weights`.
-
-    The factors are independent, so cutting factor r at bounds[r] is exactly
-    confining X_r to [0, bounds[r]]; a zero column contributes the scalar
-    sum of its weights. A multinomial goes through `with_ones_row`: the
-    result has one more variable, the number of balls (see `trials_slice`).
+    The factors are independent, so a shorter weight list is exactly a
+    tighter cap on X_r; a zero column contributes the scalar sum of its
+    weights.
     """
-    matrix, box = with_ones_row(dist, matrix, box)
-    out = TruncatedSeries.one(box, dist.mode)
-    for r, ws in enumerate(product_weights(dist, bounds)):
+    out = TruncatedSeries.one(box, mode)
+    for r, ws in enumerate(weights):
         column, factor = matrix.column(r), {}
         for x, w in enumerate(ws):
             k = tuple(a * x for a in column)
             if not within_box(k, box):
                 break  # exponents only grow with x
             factor[k] = factor.get(k, 0) + w
-        out = out * TruncatedSeries(box, dist.mode, factor)
+        out = out * TruncatedSeries(box, mode, factor)
     return out
 
 
-def trials_slice(series: TruncatedSeries, trials: int) -> TruncatedSeries:
-    """trials! times the terms of a multinomial product form whose last
-    exponent, the number of balls, is `trials`, as a series in the other
-    variables."""
-    scale = math.factorial(trials)
-    terms = {e[:-1]: scale * c for e, c in series.terms.items() if e[-1] == trials}
-    return TruncatedSeries(series.bounds[:-1], EXACT, terms)
+def image_pgf(dist, matrix: TransformMatrix, box, bounds) -> TruncatedSeries:
+    """Generating function of image(X) on `box`, X confined to the box
+    `bounds`. A table pushes the terms of its pgf onto their images. A
+    Poisson or multinomial law expands its product form (`product_terms`)
+    and keeps start times the slice where the extra coordinates of target'
+    (a multinomial's number of balls) are read."""
+    if isinstance(dist, Table):
+        return monomial_substitute(dist.pgf(bounds), matrix, box, check_coverage=False)
+    matrix, target, weights, start = product_terms(dist, matrix, box, bounds)
+    n, series = len(box), product_form(matrix, target, weights, dist.mode)
+    terms = {e[:n]: start * c for e, c in series.terms.items() if e[n:] == target[n:]}
+    return TruncatedSeries(box, dist.mode, terms)
 
 
 def _identity(dim: int) -> TransformMatrix:

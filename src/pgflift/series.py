@@ -4,7 +4,8 @@ A series is a finite dict {exponent tuple: coefficient} together with a hard
 per-variable degree box. Truncation is a window, not an approximation scheme:
 every coefficient inside the box is exactly the coefficient of the underlying
 series (operations discard products that land outside the box, they never
-smear error into retained terms). Zero coefficients are never stored.
+smear error into retained terms). Zero coefficients are never stored, and
+only exact zeros count: a float however small (a subnormal) is kept.
 
 Coefficients are exact `Fraction`s in "exact" mode or Python floats in
 "float" mode; a single series never mixes the two.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import (
     EXACT,
@@ -25,7 +26,6 @@ from .core import (
     TruncationError,
     check_bounds,
     check_exponents,
-    coefficient_is_zero,
     coerce_coefficient,
     within_box,
 )
@@ -62,7 +62,7 @@ class TruncatedSeries:
                     f"exponent {e} lies outside the truncation box {self.bounds}"
                 )
             c = coerce_coefficient(value, mode)
-            if not coefficient_is_zero(c, mode):
+            if c != 0:
                 clean[e] = c
         object.__setattr__(self, "terms", clean)
 

@@ -173,3 +173,31 @@ def small_queries(draw, dist, matrix):
     target = draw(st.tuples(*[st.integers(0, 6)] * m))
     orders = draw(st.tuples(*[st.integers(0, 2)] * d))
     return target, caps, orders
+
+
+@st.composite
+def moderate_cases(draw):
+    """(dist, matrix, target, support_bounds, orders) past toy scale: a
+    multinomial with N in 10..24 over 4 to 6 cells, or Poisson rates in
+    5..40 over 2 or 3 cells, seen through two rows with entries 0-2. The
+    target is the image of a drawn point; caps near that point (some below
+    it) come in about half the cases, and a Poisson zero column always gets
+    one."""
+    poisson = draw(st.booleans())
+    d = draw(st.integers(2, 3) if poisson else st.integers(4, 6))
+    matrix = TransformMatrix(draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=d, max_size=d), min_size=2, max_size=2)))
+    if poisson:
+        dist = Poisson(draw(st.lists(st.floats(5.0, 40.0), min_size=d, max_size=d)))
+        point = [draw(st.integers(0, round(1.5 * rate))) for rate in dist.rates]
+    else:
+        trials = draw(st.integers(10, 24))
+        weights = draw(st.lists(st.integers(1, 5), min_size=d, max_size=d))
+        dist = Multinomial(trials, [Fraction(w, sum(weights)) for w in weights])
+        cuts = sorted(draw(st.lists(st.integers(0, trials), min_size=d - 1, max_size=d - 1)))
+        point = [b - a for a, b in zip([0] + cuts, cuts + [trials])]
+    caps = draw(st.none() | st.tuples(*[st.integers(max(x - 2, 0), x + 3) for x in point]))
+    if caps is None and poisson and any(not any(col) for col in zip(*matrix.rows)):
+        caps = tuple(x + 3 for x in point)
+    orders = draw(st.tuples(*[st.integers(0, 2)] * d))
+    return dist, matrix, monomial_image(matrix, point), caps, orders

@@ -158,6 +158,19 @@ class TestRun:
         assert report.rows[1]["moment_generic"] == "1/1"
         assert report.failed
 
+    def test_tiny_poisson_weights_give_a_value(self):
+        # every weight of Poisson(700) at k = 1 is below 1e-300
+        cfg = {
+            "matrix": [[1]],
+            "distribution": {"poisson": {"lambdas": [700.0]}},
+            "queries": [{"k": [1], "s": [1]}],
+        }
+        row = run(parse_config(json.dumps(cfg)), verify=True).rows[0]
+        assert row["error"] is None
+        assert row["moment_generic"] == row["moment_closed_form"] == row["moment_oracle"]
+        assert float(row["moment_generic"]) == 1.0
+        assert row["agree"] is True
+
     def test_pmf_row_cap(self):
         job = parse_config(read("golden_multinomial.json"))
         capped = run(job, max_pmf_rows=2)

@@ -34,7 +34,7 @@ from pgflift import (
 from pgflift import conditioning
 from pgflift.conditioning import FiberSolve
 
-from support import attainable_targets, small_laws, small_queries
+from support import attainable_targets, moderate_cases, small_laws, small_queries
 
 
 class TestPgfOfY:
@@ -232,6 +232,32 @@ class TestFiberSolve:
         assert not [v for v in vars(solve).values() if isinstance(v, TruncatedSeries)]
 
 
+class TestModerateScale:
+    @given(moderate_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_generic_closed_form_and_oracle_agree(self, case):
+        # exact laws exactly, Poisson within 1e-12 relative; the oracle only
+        # where the fiber is small enough to list
+        dist, matrix, target, caps, orders = case
+
+        def same(value):
+            if isinstance(dist, Poisson):
+                return pytest.approx(value, rel=1e-12, abs=0.0)
+            return value
+
+        solve = FiberSolve(dist, matrix, target, caps)
+        try:
+            generic = solve.moment(orders)
+        except FiberError as err:
+            with pytest.raises(type(err)):
+                solve.closed_form(orders)
+            return
+        assert solve.closed_form(orders) == same(generic)
+        if solve.fiber_size <= 2000:
+            query = ConditionalQuery(target, orders, caps)
+            assert oracle_conditional_moment(dist, matrix, query) == same(generic)
+
+
 class TestConditionalPmf:
     def test_poisson_splitting_binomial(self):
         got = conditional_pmf(Poisson([1.0, 1.0]), TransformMatrix([[1, 1]]), (2,))
@@ -422,6 +448,14 @@ class TestAgreement:
             oracle = oracle_conditional_moment(dist, matrix, query)
             assert closed == generic == oracle
             cases += 1
+
+    def test_weights_below_1e300_agree_on_every_route(self):
+        # exp(-700) = 9.9e-305 and 700 exp(-700) = 6.9e-302 are values
+        dist, matrix = Poisson([700.0]), TransformMatrix([[1]])
+        query = ConditionalQuery((1,), (1,))
+        assert conditional_factorial_moment(dist, matrix, query) == 1.0
+        assert closed_form_moment(dist, matrix, query) == 1.0
+        assert oracle_conditional_moment(dist, matrix, query) == 1.0
 
     def test_moment_is_fiber_sum_against_conditional_pmf(self):
         # the defining identity: E[prod falling factorials | Y=k] equals the

@@ -31,11 +31,12 @@ class TestStorageInvariants:
         right = S((2,), {(0,): 1, (1,): -1})
         assert (left + right).terms == {(0,): Fraction(2)}
 
-    def test_float_underflow_purged_but_small_values_kept(self):
-        kept = S((1,), {(1,): 1e-200}, mode=FLOAT)
-        assert kept.terms == {(1,): 1e-200}
-        purged = S((1,), {(1,): 1e-301}, mode=FLOAT)
-        assert purged.terms == {}
+    def test_float_mode_keeps_every_nonzero_value(self):
+        # a Poisson weight such as exp(-700) * 700 = 6.9e-302 is a value, so
+        # only an exact zero is dropped, down to the smallest subnormal
+        for tiny in (1e-200, 1e-301, 5e-324):
+            assert S((1,), {(1,): tiny}, mode=FLOAT).terms == {(1,): tiny}
+        assert S((1,), {(0,): 0.0, (1,): -0.0}, mode=FLOAT).terms == {}
 
     def test_exponent_outside_box_rejected(self):
         with pytest.raises(TruncationError):
