@@ -12,18 +12,14 @@ Exit status: 0 all queries succeeded, 1 at least one query failed,
 2 the config itself was rejected.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .conditioning import ConditionalQuery, FiberSolve
-from .core import EXACT, FLOAT, TransformMatrix
+from .core import EXACT, FLOAT, Frozen, TransformMatrix
 from .distributions import Multinomial, Poisson, Table
 from .oracle import oracle_conditional_moment
 
@@ -34,14 +30,10 @@ class ConfigError(ValueError):
     """The job file is malformed or internally inconsistent."""
 
 
-@dataclass
-class JobConfig:
-    matrix: TransformMatrix
-    distribution: object
-    queries: list
-    include_pmf: list
-    mode: str
-    output: str
+class JobConfig(Frozen):
+    """A validated job, as `parse_config` returns it."""
+
+    __slots__ = ("matrix", "distribution", "queries", "include_pmf", "mode", "output")
 
 
 def _require(condition, message):
@@ -192,11 +184,13 @@ def _values_agree(a, b) -> bool:
     return math.isclose(float(a), float(b), rel_tol=1e-9, abs_tol=1e-12)
 
 
-@dataclass
-class Report:
-    mode: str
-    verified: bool
-    rows: list = field(default_factory=list)
+class Report(Frozen):
+    """The rows of one run, one per query; `run` appends them."""
+
+    __slots__ = ("mode", "verified", "rows")
+
+    def __init__(self, mode: str, verified: bool, rows: list | None = None):
+        super().__init__(mode, verified, [] if rows is None else rows)
 
     @property
     def failed(self) -> bool:
@@ -208,7 +202,7 @@ def run(job: JobConfig, verify: bool = False, max_pmf_rows: int = 10000) -> Repo
     which keeps the fields computed before the failure. Each query reads
     every field off one `FiberSolve`, which builds no source series; only
     the pmf and the oracle, under `verify`, list the fiber."""
-    report = Report(mode=job.mode, verified=verify)
+    report = Report(job.mode, verify)
     for idx, (query, want_pmf) in enumerate(zip(job.queries, job.include_pmf)):
         row = {
             "query_index": idx,

@@ -18,17 +18,15 @@ that reads two coefficients of the product form on the target box. The
 oracle lists the fiber.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
 
 from .core import (
-    EXACT, DimensionMismatch, EmptyFiber, TransformMatrix, UnboundedFiber, ZeroProbability,
-    check_exponents, fiber_degree_bounds, fiber_points, fiber_sum, monomial_image, within_box,
+    EXACT, DimensionMismatch, EmptyFiber, Frozen, TransformMatrix, UnboundedFiber,
+    ZeroProbability, check_exponents, fiber_degree_bounds, fiber_points, fiber_sum,
+    monomial_image, within_box,
 )
 from .distributions import (
     Distribution, Multinomial, Poisson, Table, image_pgf, product_form, product_terms,
@@ -36,8 +34,7 @@ from .distributions import (
 from .series import TruncatedSeries
 
 
-@dataclass(frozen=True)
-class ConditionalQuery:
+class ConditionalQuery(Frozen):
     """One conditioning request: observed target, factorial-moment orders,
     and an optional per-source-coordinate support cap.
 
@@ -47,17 +44,19 @@ class ConditionalQuery:
     support); given voluntarily, it conditions on the capped event instead.
     """
 
-    target: Tuple[int, ...]
-    orders: Tuple[int, ...]
-    support_bounds: Optional[Tuple[int, ...]] = None
+    __slots__ = ("target", "orders", "support_bounds")
 
-    def __post_init__(self):
-        object.__setattr__(self, "target", check_exponents(self.target))
-        object.__setattr__(self, "orders", check_exponents(self.orders))
-        if self.support_bounds is not None:
-            object.__setattr__(
-                self, "support_bounds", check_exponents(self.support_bounds)
-            )
+    def __init__(
+        self,
+        target: Sequence[int],
+        orders: Sequence[int],
+        support_bounds: Sequence[int] | None = None,
+    ):
+        super().__init__(
+            check_exponents(target),
+            check_exponents(orders),
+            None if support_bounds is None else check_exponents(support_bounds),
+        )
 
 
 def _check_shapes(dist, matrix, target, orders=None, support_bounds=None):
@@ -77,7 +76,7 @@ def effective_source_bounds(
     dist: Distribution,
     matrix: TransformMatrix,
     target: Sequence[int],
-    support_bounds: Optional[Sequence[int]] = None,
+    support_bounds: Sequence[int] | None = None,
 ) -> tuple:
     """Smallest per-coordinate box certain to contain the whole fiber.
 
@@ -115,7 +114,7 @@ class FiberSolve:
         dist: Distribution,
         matrix: TransformMatrix,
         target: Sequence[int],
-        support_bounds: Optional[Sequence[int]] = None,
+        support_bounds: Sequence[int] | None = None,
     ):
         self.dist, self.matrix, self.support_bounds = dist, matrix, support_bounds
         self.target = check_exponents(target)
@@ -212,7 +211,7 @@ def pgf_of_Y(
     dist: Distribution,
     matrix: TransformMatrix,
     target: Sequence[int],
-    support_bounds: Optional[Sequence[int]] = None,
+    support_bounds: Sequence[int] | None = None,
 ) -> TruncatedSeries:
     """Generating function of Y = image(X) on the box [0, target]: the
     coefficient at k is P(Y = k), on the capped support if support_bounds is
@@ -227,7 +226,7 @@ def conditional_pmf(
     dist: Distribution,
     matrix: TransformMatrix,
     target: Sequence[int],
-    support_bounds: Optional[Sequence[int]] = None,
+    support_bounds: Sequence[int] | None = None,
 ) -> dict:
     """{outcome: P(X = outcome | Y = target)} over the fiber.
 

@@ -10,18 +10,15 @@ Python ints are arbitrary precision, so exponent arithmetic cannot overflow;
 there is deliberately no checked-arithmetic layer here.
 """
 
-from __future__ import annotations
-
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
 EXACT = "exact"
 FLOAT = "float"
 
-Coefficient = Union[Fraction, float]
+Coefficient = Fraction | float
 
 
 class DimensionMismatch(ValueError):
@@ -95,8 +92,47 @@ def coerce_coefficient(value, mode: str) -> Coefficient:
     raise ValueError(f"unknown coefficient mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class TransformMatrix:
+class Frozen:
+    """Base of the immutable value records. A subclass names its fields in
+    `__slots__`, in the order its constructor takes them, and its constructor
+    ends by passing their values to this one. Equality, hashing and repr read
+    that field tuple, as a frozen dataclass would, and pickle and deepcopy
+    rebuild the record through the constructor."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class TransformMatrix(Frozen):
     """Nonnegative integer matrix mapping source multi-indices to target ones.
 
     `rows[i][r]` is the weight of source coordinate r in target coordinate i.
@@ -105,7 +141,7 @@ class TransformMatrix:
     construction and immutable afterwards.
     """
 
-    rows: tuple
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Sequence[int]]):
         frozen = tuple(tuple(row) for row in rows)
@@ -120,7 +156,7 @@ class TransformMatrix:
                     raise ValueError(
                         f"matrix entries must be nonnegative integers, got {a!r}"
                     )
-        object.__setattr__(self, "rows", frozen)
+        super().__init__(frozen)
 
     @property
     def num_targets(self) -> int:

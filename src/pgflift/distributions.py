@@ -16,14 +16,13 @@ like "0.3" means 3/10, never the nearest binary float). Table distributions
 work in either mode.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple, Union
 
-from .core import EXACT, FLOAT, TransformMatrix, check_bounds, check_exponents, within_box
+from .core import (
+    EXACT, FLOAT, Frozen, TransformMatrix, check_bounds, check_exponents, within_box,
+)
 from .series import TruncatedSeries
 from .transform import monomial_substitute
 
@@ -38,11 +37,10 @@ def to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Poisson:
+class Poisson(Frozen):
     """Independent Poisson counts, one positive rate per coordinate."""
 
-    rates: Tuple[float, ...]
+    __slots__ = ("rates",)
 
     def __init__(self, rates: Sequence[float]):
         vals = tuple(float(x) for x in rates)
@@ -51,7 +49,7 @@ class Poisson:
         for x in vals:
             if not math.isfinite(x) or x <= 0:
                 raise ValueError(f"Poisson rates must be positive and finite, got {x!r}")
-        object.__setattr__(self, "rates", vals)
+        super().__init__(vals)
 
     @property
     def dim(self) -> int:
@@ -71,7 +69,7 @@ class Poisson:
             math.ceil(rate + 10.0 * math.sqrt(rate) + 20.0) for rate in self.rates
         )
 
-    def pgf(self, bounds: Optional[Sequence[int]] = None) -> TruncatedSeries:
+    def pgf(self, bounds: Sequence[int] | None = None) -> TruncatedSeries:
         """prod_r exp(rate_r * (t_r - 1)), truncated to the box: the product
         form with identity columns."""
         box = (
@@ -106,12 +104,10 @@ def _poisson_log_pmf(rate: float, x: int) -> float:
     return x * math.log(rate) - rate - math.lgamma(x + 1)
 
 
-@dataclass(frozen=True)
-class Multinomial:
+class Multinomial(Frozen):
     """`trials` balls dropped independently into `len(probs)` cells."""
 
-    trials: int
-    probs: Tuple[Fraction, ...]
+    __slots__ = ("trials", "probs")
 
     def __init__(self, trials: int, probs: Sequence):
         if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
@@ -124,8 +120,7 @@ class Multinomial:
                 raise ValueError(f"cell probabilities must be nonnegative, got {p}")
         if sum(ps) != 1:
             raise ValueError(f"cell probabilities must sum to 1, got {sum(ps)}")
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "probs", ps)
+        super().__init__(trials, ps)
 
     @property
     def dim(self) -> int:
@@ -138,7 +133,7 @@ class Multinomial:
     def support_bound(self):
         return (self.trials,) * self.dim
 
-    def pgf(self, bounds: Optional[Sequence[int]] = None) -> TruncatedSeries:
+    def pgf(self, bounds: Sequence[int] | None = None) -> TruncatedSeries:
         """(p_1 t_1 + ... + p_d t_d) ** trials, truncated to the box: the
         product form with identity columns, read at `trials` balls."""
         box = (
@@ -154,20 +149,20 @@ class Multinomial:
             raise ValueError(f"outcome has length {len(j)}, expected {self.dim}")
         if sum(j) != self.trials:
             return Fraction(0)
+        # one Fraction per outcome: trials! / prod x! * prod num**x, over prod den**x
         coeff = math.factorial(self.trials)
-        p = Fraction(1)
-        for prob, x in zip(self.probs, j):
+        for x in j:
             coeff //= math.factorial(x)
-            p *= prob**x
-        return coeff * p
+        num = math.prod(p.numerator**x for p, x in zip(self.probs, j))
+        den = math.prod(p.denominator**x for p, x in zip(self.probs, j))
+        return Fraction(coeff * num, den)
 
 
-@dataclass(frozen=True)
-class Table:
-    """Finite support given outright as {outcome tuple: probability}."""
+class Table(Frozen):
+    """Finite support given outright as {outcome tuple: probability}.
+    Equal tables compare equal, but a table holds a dict and is unhashable."""
 
-    entries: Mapping[tuple, object]
-    mode: str
+    __slots__ = ("entries", "mode")
 
     def __init__(self, entries: Mapping, mode: str = EXACT):
         if mode not in (EXACT, FLOAT):
@@ -192,8 +187,7 @@ class Table:
                 raise ValueError(f"probabilities must sum to 1, got {total}")
         elif abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "mode", mode)
+        super().__init__(clean, mode)
 
     @property
     def dim(self) -> int:
@@ -204,7 +198,7 @@ class Table:
             max(outcome[r] for outcome in self.entries) for r in range(self.dim)
         )
 
-    def pgf(self, bounds: Optional[Sequence[int]] = None) -> TruncatedSeries:
+    def pgf(self, bounds: Sequence[int] | None = None) -> TruncatedSeries:
         """One term per outcome; outcomes outside a requested box are omitted."""
         box = (
             self.support_bound()
@@ -225,7 +219,7 @@ class Table:
         return self.entries.get(j, zero)
 
 
-Distribution = Union[Poisson, Multinomial, Table]
+Distribution = Poisson | Multinomial | Table
 
 
 def product_terms(dist, matrix: TransformMatrix, target, bounds) -> tuple:

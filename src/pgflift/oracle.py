@@ -6,11 +6,9 @@ the series/transform/conditioning modules: when a fast path and this module
 agree, they agree because the mathematics does, not because they share code.
 """
 
-from __future__ import annotations
-
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .core import (
     DimensionMismatch,
@@ -25,7 +23,7 @@ from .core import (
 def enumerate_fiber(
     matrix: TransformMatrix,
     target: Sequence[int],
-    support_bounds: Optional[Sequence] = None,
+    support_bounds: Sequence | None = None,
 ) -> list:
     """Every j >= 0 with image(j) == target, in lexicographic order.
 

@@ -11,11 +11,9 @@ Coefficients are exact `Fraction`s in "exact" mode or Python floats in
 "float" mode; a single series never mixes the two.
 """
 
-from __future__ import annotations
-
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .core import (
     EXACT,
@@ -68,6 +66,13 @@ class TruncatedSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("TruncatedSeries is immutable")
+
+    def __reduce__(self):
+        # pickle and deepcopy would restore the slots through __setattr__
+        return TruncatedSeries, (self.bounds, self.mode, self.terms)
 
     @property
     def num_vars(self) -> int:

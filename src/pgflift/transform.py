@@ -14,9 +14,7 @@ coefficients would be silently incomplete. Callers that have already
 restricted the source support on purpose can skip the check.
 """
 
-from __future__ import annotations
-
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import (
     DimensionMismatch,

@@ -26,18 +26,34 @@ from pgflift import (
 )
 
 
+# the directory holding the pgflift the tests import, also when pytest's
+# pythonpath is what found it
+SRC = str(pathlib.Path(pgflift.__file__).resolve().parent.parent)
+
+
 def run_cli(*argv):
     """`python -m pgflift.cli *argv` in a subprocess that imports the same
-    pgflift as the tests, also when pytest's pythonpath is what found it.
-    Returns (exit code, stdout bytes, stderr bytes)."""
-    src = str(pathlib.Path(pgflift.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    pgflift as the tests. Returns (exit code, stdout bytes, stderr bytes)."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pgflift.cli", *argv],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def modules_added_by(statement):
+    """The names `statement` adds to sys.modules in a fresh `python -S`,
+    which runs no site hooks, with the tests' pgflift first on the path."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        f"{statement}; print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe, SRC], capture_output=True, text=True, check=True
+    )
+    return set(proc.stdout.split())
 
 
 def random_fraction(rng, lo=-5, hi=5, max_den=6):

@@ -37,7 +37,7 @@ from pgflift.cli import (
     run,
 )
 
-from support import run_cli as cli, small_laws, small_queries
+from support import modules_added_by, run_cli as cli, small_laws, small_queries
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -196,6 +196,18 @@ class TestRun:
         for line in lines:
             row = json.loads(line)
             assert list(row) == sorted(row)
+
+
+class TestColdStart:
+    def test_cli_import_adds_only_pgflift_to_its_stdlib_needs(self):
+        """Every CLI run pays for what `import pgflift.cli` loads. Past the
+        standard modules the front end needs (whatever those load on this
+        Python), that is pgflift alone: no dataclasses, whose inspect pulls
+        in ast, dis and tokenize."""
+        cli_added = modules_added_by("import pgflift.cli")
+        needed = modules_added_by("import argparse, json, fractions, functools, math")
+        assert {"dataclasses", "inspect"}.isdisjoint(cli_added)
+        assert {name.split(".")[0] for name in cli_added - needed} == {"pgflift"}
 
 
 class TestMainExitCodes:

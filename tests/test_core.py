@@ -1,11 +1,20 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pgflift import (
+    EXACT,
+    FLOAT,
+    ConditionalQuery,
     DimensionMismatch,
+    Multinomial,
+    Poisson,
+    Table,
     TransformMatrix,
+    TruncatedSeries,
     enumerate_fiber,
     fiber_degree_bounds,
     monomial_image,
@@ -138,3 +147,55 @@ class TestCountFiber:
         assert fiber_sum(matrix, target, units) == len(
             enumerate_fiber(matrix, target, bounds)
         )
+
+
+# (value, its repr as a frozen dataclass printed it, or None, hashable)
+VALUES = [
+    (TransformMatrix([[1, 2], [0, 1]]), "TransformMatrix(rows=((1, 2), (0, 1)))", True),
+    (Poisson([1.5, 2]), "Poisson(rates=(1.5, 2.0))", True),
+    (
+        Multinomial(3, ["1/2", "0.5"]),
+        "Multinomial(trials=3, probs=(Fraction(1, 2), Fraction(1, 2)))",
+        True,
+    ),
+    (
+        Table({(0, 1): "1/2", (1, 0): "1/2"}),
+        "Table(entries={(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}, mode='exact')",
+        False,
+    ),
+    (Table({(2,): 1.0}, FLOAT), "Table(entries={(2,): 1.0}, mode='float')", False),
+    (
+        ConditionalQuery((1,), (0, 1)),
+        "ConditionalQuery(target=(1,), orders=(0, 1), support_bounds=None)",
+        True,
+    ),
+    (
+        ConditionalQuery([1], [0, 1], [2, 3]),
+        "ConditionalQuery(target=(1,), orders=(0, 1), support_bounds=(2, 3))",
+        True,
+    ),
+    (TruncatedSeries((2, 1), EXACT, {(1, 0): "1/3", (0, 1): 2}), None, False),
+]
+
+
+@pytest.mark.parametrize(
+    "value, text, hashable", VALUES, ids=[type(v).__name__ for v, *_ in VALUES]
+)
+def test_values_round_trip_and_stay_frozen(value, text, hashable):
+    clones = [pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)]
+    for clone in clones:
+        assert type(clone) is type(value) and clone == value
+    name = type(value).__slots__[0]
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, before)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) is before
+    if text is not None:
+        assert repr(value) == text
+    if hashable:
+        assert all(hash(clone) == hash(value) for clone in clones)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)

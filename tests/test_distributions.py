@@ -12,10 +12,12 @@ from pgflift import (
     Multinomial,
     Poisson,
     Table,
+    TransformMatrix,
     TruncatedSeries,
     exp_truncated,
     to_fraction,
 )
+from pgflift.distributions import product_terms
 
 
 def unit(dim, r):
@@ -181,6 +183,27 @@ class TestMultinomial:
         g = dist.pgf()
         for j in g.terms:
             assert g.coefficient(j) == dist.pmf(j)
+
+    @given(
+        st.lists(st.integers(0, 20), min_size=1, max_size=4).filter(any),
+        st.integers(0, 14),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example([1, 0, 2], 5)
+    def test_pmf_is_start_times_the_product_weights(self, counts, trials):
+        """pmf prices an outcome as one Fraction; the product form, independent
+        Poisson(p) counts conditioned on their total, prices it as
+        trials! * prod_r p_r**x_r / x_r!. Both are exact, so they are equal."""
+        dist = Multinomial(trials, [Fraction(c, sum(counts)) for c in counts])
+        d = dist.dim
+        identity = TransformMatrix([[int(i == r) for r in range(d)] for i in range(d)])
+        _, _, weights, start = product_terms(dist, identity, (0,) * d, (trials,) * d)
+        for head in itertools.product(range(trials + 1), repeat=d - 1):
+            if sum(head) <= trials:
+                j = head + (trials - sum(head),)
+                assert dist.pmf(j) == math.prod(
+                    (ws[x] for ws, x in zip(weights, j)), start=start
+                )
 
     def test_normalization_is_exact(self):
         g = Multinomial(5, ["2/5", "3/5"]).pgf()
