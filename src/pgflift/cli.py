@@ -200,7 +200,7 @@ class Report(Frozen):
 def run(job: JobConfig, verify: bool = False, max_pmf_rows: int = 10000) -> Report:
     """Execute every query; failures land in the row, not in the caller,
     which keeps the fields computed before the failure. Each query reads
-    every field off one `FiberSolve`, which builds no source series; only
+    every field off one `FiberSolve`, which builds no series; only
     the pmf and the oracle, under `verify`, list the fiber."""
     report = Report(job.mode, verify)
     for idx, (query, want_pmf) in enumerate(zip(job.queries, job.include_pmf)):
@@ -305,6 +305,8 @@ def main(argv=None) -> int:
         "exceeds this (default 10000)",
     )
     args = parser.parse_args(argv)
+    if args.max_pmf_rows < 0:
+        parser.error(f"--max-pmf-rows must be >= 0, got {args.max_pmf_rows}")
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:

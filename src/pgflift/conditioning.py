@@ -178,24 +178,25 @@ class FiberSolve:
         """prod_r c_r**orders[r] * [z^(m - A' orders)] F' / [z^m] F for the
         product form F of the solve's description (A' and m its matrix and
         target, c the rates or the probs), F' with each weight list cut at
-        the cap lowered by `orders`; None for a family without one. See
-        poisson_conditional_moment and multinomial_conditional_moment."""
+        the cap lowered by `orders`, expanded on the box it is read at; None
+        for a family without one. See poisson_conditional_moment and
+        multinomial_conditional_moment."""
         dist, caps = self.dist, self.support_bounds
         _check_shapes(dist, self.matrix, self.target, orders)
         if isinstance(dist, Table):
             return None
         coeffs = dist.rates if isinstance(dist, Poisson) else dist.probs
         matrix, m, weights, _ = self._walk
-        whole = product_form(matrix, m, weights, dist.mode)
-        denominator = self._nonzero(whole.coefficient(m))
+        whole = product_form(matrix, m, weights)
+        denominator = self._nonzero(whole.get(m, 0))
         reduced_m = tuple(a - b for a, b in zip(m, monomial_image(matrix, orders)))
         reduced_caps = () if caps is None else tuple(b - s for b, s in zip(caps, orders))
         if min(reduced_m + reduced_caps) < 0:
             return 0 * denominator  # a zero of the coefficient type
         numerator = whole if caps is None else product_form(
-            matrix, m, [ws[:c + 1] for ws, c in zip(weights, reduced_caps)], dist.mode)
+            matrix, reduced_m, [ws[:c + 1] for ws, c in zip(weights, reduced_caps)])
         prefactor = math.prod(c**s for c, s in zip(coeffs, orders))
-        return prefactor * numerator.coefficient(reduced_m) / denominator
+        return prefactor * numerator.get(reduced_m, 0) / denominator
 
     def pmf(self) -> dict:
         """See conditional_pmf: each fiber point's mass over P(Y = target)."""

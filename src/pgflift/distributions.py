@@ -249,22 +249,21 @@ def product_terms(dist, matrix: TransformMatrix, target, bounds) -> tuple:
     return ones, tuple(target) + (dist.trials,), weights, Fraction(math.factorial(dist.trials))
 
 
-def product_form(matrix: TransformMatrix, box, weights, mode: str) -> TruncatedSeries:
-    """prod_r sum_x weights[r][x] z^(x * column r), expanded on `box`.
-
-    The factors are independent, so a shorter weight list is exactly a
-    tighter cap on X_r; a zero column contributes the scalar sum of its
-    weights.
-    """
-    out = TruncatedSeries.one(box, mode)
+def product_form(matrix: TransformMatrix, box, weights) -> dict:
+    """prod_r sum_x weights[r][x] z^(x * column r) as {exponent: coefficient}
+    on `box`. The factors are independent, so a shorter weight list is
+    exactly a tighter cap on X_r."""
+    out = {(0,) * len(box): 1}
     for r, ws in enumerate(weights):
-        column, factor = matrix.column(r), {}
-        for x, w in enumerate(ws):
-            k = tuple(a * x for a in column)
-            if not within_box(k, box):
-                break  # exponents only grow with x
-            factor[k] = factor.get(k, 0) + w
-        out = out * TruncatedSeries(box, mode, factor)
+        column, step = matrix.column(r), {}
+        for e, c in out.items():
+            for x, w in enumerate(ws):
+                k = tuple(a + x * b for a, b in zip(e, column))
+                if not within_box(k, box):
+                    break  # exponents only grow with x
+                if w:  # a zero weight (a cell of probability 0) would store only zeros
+                    step[k] = step.get(k, 0) + c * w
+        out = step
     return out
 
 
@@ -277,8 +276,8 @@ def image_pgf(dist, matrix: TransformMatrix, box, bounds) -> TruncatedSeries:
     if isinstance(dist, Table):
         return monomial_substitute(dist.pgf(bounds), matrix, box, check_coverage=False)
     matrix, target, weights, start = product_terms(dist, matrix, box, bounds)
-    n, series = len(box), product_form(matrix, target, weights, dist.mode)
-    terms = {e[:n]: start * c for e, c in series.terms.items() if e[n:] == target[n:]}
+    n, coeffs = len(box), product_form(matrix, target, weights)
+    terms = {e[:n]: start * c for e, c in coeffs.items() if e[n:] == target[n:]}
     return TruncatedSeries(box, dist.mode, terms)
 
 

@@ -257,6 +257,14 @@ class TestMainExitCodes:
         assert main(["--config", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_negative_max_pmf_rows_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--config", str(DATA / "golden_multinomial.json"), "--max-pmf-rows", "-3"])
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--max-pmf-rows must be >= 0" in err
+
     def test_mode_override_flag_rejects_poisson(self, capsys):
         code = main(
             ["--config", str(DATA / "golden_poisson.json"), "--mode", "exact"]

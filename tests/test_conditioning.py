@@ -170,6 +170,8 @@ class TestClosedFormIsASeparateRoute:
             (Poisson([1.0, 2.0]), [[1, 1]], (5,), (1, 0), None),
             # a zero column needs a cap
             (Poisson([1.0, 2.0, 0.5]), [[1, 1, 0]], (4,), (1, 1, 1), (3, 4, 2)),
+            # rates in the hundreds: a target box of 600
+            (Poisson([300.0, 300.0]), [[1, 1]], (600,), (1, 0), None),
         ],
     )
     def test_poisson(self, closed_form, dist, rows, target, orders, caps):
@@ -223,13 +225,32 @@ class TestFiberSolve:
         assert conditional_factorial_moment(dist, matrix, query) == Fraction(9025, 16)
         assert closed_form_moment(dist, matrix, query) == Fraction(9025, 16)
 
-    def test_the_solve_keeps_no_series(self):
+    def test_the_solve_keeps_no_series(self, monkeypatch):
         dist = Table({(0, 0): "1/2", (1, 1): "1/2"})
         solve = FiberSolve(dist, TransformMatrix([[1, 1]]), (2,))
         assert solve.prob_y == Fraction(1, 2)
         assert solve.moment((1, 0)) == 1
         assert solve.pmf() == {(1, 1): 1}
         assert not [v for v in vars(solve).values() if isinstance(v, TruncatedSeries)]
+
+        def no_series(*args, **kwargs):
+            raise AssertionError("a solve built a series")
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", no_series)
+        for dist, rows, target, orders, caps in [
+            # a capped Poisson with a zero column
+            (Poisson([1.0, 2.0, 0.5]), [[1, 1, 0]], (4,), (1, 1, 1), (3, 4, 2)),
+            (Multinomial(6, ["1/2", "1/3", "1/6"]), [[1, 1, 0]], (3,), (1, 1, 0),
+             (2, 3, 5)),
+            # the Baseline query, uncapped
+            (Multinomial(30, [Fraction(1, 4)] * 4), [[1, 1, 0, 0], [0, 0, 1, 1]],
+             (15, 15), (1, 1, 0, 0), None),
+        ]:
+            solve = FiberSolve(dist, TransformMatrix(rows), target, caps)
+            assert solve.fiber_size > 0
+            assert solve.prob_y > 0
+            assert solve.closed_form(orders) == pytest.approx(solve.moment(orders))
+            assert solve.pmf()
 
 
 class TestModerateScale:
