@@ -22,6 +22,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .core import (
     EXACT, DimensionMismatch, EmptyFiber, Frozen, TransformMatrix, UnboundedFiber,
@@ -132,9 +133,19 @@ class FiberSolve:
 
     @cached_property
     def _table_fiber(self) -> list:
-        # the Table constructor checked every outcome, so no image re-checks it
-        return [(j, p) for j, p in self.dist.entries.items() if within_box(j, self.bounds)
-                and self.matrix.image(j) == self.target]
+        # an entry is tested one row of the matrix at a time and dropped at
+        # the first row it misses, which is the first row for most; a hit is
+        # inside the degree and support bounds already, so only the caller's
+        # caps can still exclude it (the Table constructor checked every entry)
+        rows, fiber = list(zip(self.matrix.rows, self.target)), []
+        for j, p in self.dist.entries.items():
+            for row, k in rows:
+                if sum(map(mul, row, j)) != k:
+                    break
+            else:
+                if within_box(j, self.bounds):
+                    fiber.append((j, p))
+        return fiber
 
     def _fiber_sum(self, orders):
         """Sum over the fiber of P(X = j) * prod_r perm(j_r, orders[r]). At

@@ -14,6 +14,7 @@ import functools
 import math
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from operator import sub
 
 EXACT = "exact"
 FLOAT = "float"
@@ -136,9 +137,8 @@ class TransformMatrix(Frozen):
     """Nonnegative integer matrix mapping source multi-indices to target ones.
 
     `rows[i][r]` is the weight of source coordinate r in target coordinate i.
-    The matrix acts on exponent vectors via `monomial_image` (or `image`, for
-    vectors checked already) and on nothing else; it is shape-validated at
-    construction and immutable afterwards.
+    The matrix acts on exponent vectors via `monomial_image` and on nothing
+    else; it is shape-validated at construction and immutable afterwards.
     """
 
     __slots__ = ("rows",)
@@ -169,11 +169,6 @@ class TransformMatrix(Frozen):
     def column(self, r: int) -> tuple:
         return tuple(row[r] for row in self.rows)
 
-    def image(self, j: Sequence[int]) -> tuple:
-        """Component i is sum_r a[i][r]*j[r], for a j already known to be a
-        vector of num_sources nonnegative ints; see monomial_image."""
-        return tuple(sum(a * e for a, e in zip(row, j)) for row in self.rows)
-
 
 def monomial_image(matrix: TransformMatrix, exponents: Sequence[int]) -> tuple:
     """Push a source exponent vector forward: component i is sum_r a[i][r]*j[r].
@@ -187,7 +182,7 @@ def monomial_image(matrix: TransformMatrix, exponents: Sequence[int]) -> tuple:
             f"exponent vector has length {len(j)}, matrix has "
             f"{matrix.num_sources} source coordinates"
         )
-    return matrix.image(j)
+    return tuple(sum(a * e for a, e in zip(row, j)) for row in matrix.rows)
 
 
 def fiber_degree_bounds(matrix: TransformMatrix, target: Sequence[int]):
@@ -213,12 +208,19 @@ def fiber_degree_bounds(matrix: TransformMatrix, target: Sequence[int]):
 
 def _steps(column, table, residual, last=False) -> list:
     """(x, residual - x * column) for each x with a nonzero table[x] that
-    keeps the residual nonnegative; for the last coordinate only those that
-    empty it, found directly: just the largest x can, unless column is 0."""
+    keeps the residual nonnegative, each residual the one before it less the
+    column; for the last coordinate only those that empty it, found
+    directly: just the largest x can, unless column is 0."""
     hi = min([len(table) - 1] + [v // a for v, a in zip(residual, column) if a > 0])
-    xs = (hi,) if last and any(column) else range(hi + 1)
-    steps = [(x, tuple(v - x * a for v, a in zip(residual, column))) for x in xs if table[x]]
-    return [s for s in steps if not any(s[1])] if last else steps
+    if last and any(column):
+        residual = tuple(v - hi * a for v, a in zip(residual, column))
+        return [] if any(residual) or not table[hi] else [(hi, residual)]
+    steps = []
+    for x in range(hi + 1):
+        if table[x]:
+            steps.append((x, residual))
+        residual = tuple(map(sub, residual, column))
+    return [] if last and any(residual) else steps
 
 
 def fiber_sum(matrix: TransformMatrix, target: Sequence[int], tables, start=1):

@@ -181,12 +181,16 @@ class Table(Frozen):
             if not 0 <= p < math.inf:
                 raise ValueError(f"probabilities must be nonnegative and finite, got {p}")
             clean[j] = p
-        total = sum(clean.values())
-        if mode == EXACT:
+        if mode == EXACT:  # one integer sum over the common denominator
+            den = math.lcm(*(p.denominator for p in clean.values()))
+            total = Fraction(sum(p.numerator * (den // p.denominator)
+                                 for p in clean.values()), den)
             if total != 1:
                 raise ValueError(f"probabilities must sum to 1, got {total}")
-        elif abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
+        else:
+            total = sum(clean.values())
+            if abs(total - 1.0) > 1e-12:
+                raise ValueError(f"probabilities must sum to 1 within 1e-12, got {total!r}")
         super().__init__(clean, mode)
 
     @property
@@ -194,9 +198,7 @@ class Table(Frozen):
         return len(next(iter(self.entries)))
 
     def support_bound(self) -> tuple:
-        return tuple(
-            max(outcome[r] for outcome in self.entries) for r in range(self.dim)
-        )
+        return tuple(map(max, zip(*self.entries)))
 
     def pgf(self, bounds: Sequence[int] | None = None) -> TruncatedSeries:
         """One term per outcome; outcomes outside a requested box are omitted."""
@@ -256,6 +258,10 @@ def product_form(matrix: TransformMatrix, box, weights) -> dict:
     out = {(0,) * len(box): 1}
     for r, ws in enumerate(weights):
         column, step = matrix.column(r), {}
+        if not any(column):  # every x lands on e: one product by the weight sum
+            total = sum(ws)
+            out = {e: c * total for e, c in out.items()} if total else {}
+            continue
         for e, c in out.items():
             for x, w in enumerate(ws):
                 k = tuple(a + x * b for a, b in zip(e, column))

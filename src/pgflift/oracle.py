@@ -28,12 +28,17 @@ def enumerate_fiber(
     """Every j >= 0 with image(j) == target, in lexicographic order.
 
     Depth-first over the source coordinates, first coordinate outermost,
-    keeping the running residual target - partial image; a coordinate's range
-    is capped by the residual divided by its positive column entries, and by
-    its support bound if one is given. The last coordinate is settled
-    directly: only its largest value can empty a residual, unless its column
-    is zero. A coordinate with an all-zero column and no support bound makes
-    the fiber infinite: UnboundedFiber.
+    keeping the running residual target - partial image. Coordinate r takes
+    at most its top value min(cap_r, min_i target_i // a_ir), so reach[r],
+    the most that coordinates r, r+1, ... can add to each row, is the sum of
+    their columns times their tops. A coordinate's range is capped by the
+    residual divided by its positive column entries and by its support
+    bound, and starts at the least value that leaves a residual within
+    reach[r+1]. So no prefix is entered whose residual the later coordinates
+    cannot cover, and the last coordinate takes only values that empty the
+    residual (at most one, unless its column is zero). A coordinate with an
+    all-zero column and no support bound makes the fiber infinite:
+    UnboundedFiber.
 
     `support_bounds` may be None, or a sequence with one int (or None) per
     source coordinate.
@@ -49,35 +54,41 @@ def enumerate_fiber(
         raise DimensionMismatch(
             f"support bounds have length {len(caps)}, expected {d}"
         )
-    for r in range(d):
-        if caps[r] is None and all(row[r] == 0 for row in matrix.rows):
+    cols, tops = [matrix.column(r) for r in range(d)], []
+    for r, (col, top) in enumerate(zip(cols, caps)):
+        for k, a in zip(target, col):
+            if a > 0:
+                top = k // a if top is None else min(top, k // a)
+        if top is None:
             raise UnboundedFiber(
                 f"source coordinate {r} is ignored by the matrix; "
                 "pass support_bounds to make the fiber finite"
             )
+        tops.append(top)
+    reach = [(0,) * len(target)]
+    for col, top in zip(cols[::-1], tops[::-1]):
+        reach.insert(0, tuple(m + a * top for m, a in zip(reach[0], col)))
 
     out = []
 
     def walk(r, residual, prefix):
-        col = [row[r] for row in matrix.rows]
-        hi = caps[r]
-        for i, a in enumerate(col):
+        col, lo, hi = cols[r], 0, caps[r]
+        for x, a, m in zip(residual, col, reach[r + 1]):
             if a > 0:
-                q = residual[i] // a
-                hi = q if hi is None else min(hi, q)
+                q = x // a
+                if hi is None or q < hi:
+                    hi = q
+                q = (x - m + a - 1) // a  # the least v with x - v * a <= m
+                if q > lo:
+                    lo = q
         if r == d - 1:
-            for v in range(hi + 1) if not any(col) else (hi,):
-                if all(x == v * a for x, a in zip(residual, col)):
-                    out.append(prefix + (v,))
+            out.extend(prefix + (v,) for v in range(lo, hi + 1))
             return
-        for v in range(hi + 1):
-            walk(
-                r + 1,
-                tuple(x - v * a for x, a in zip(residual, col)),
-                prefix + (v,),
-            )
+        for v in range(lo, hi + 1):
+            walk(r + 1, tuple(x - v * a for x, a in zip(residual, col)), prefix + (v,))
 
-    walk(0, tuple(target), ())
+    if all(x <= m for x, m in zip(target, reach[0])):
+        walk(0, target, ())
     return out
 
 

@@ -217,3 +217,25 @@ def moderate_cases(draw):
         caps = tuple(x + 3 for x in point)
     orders = draw(st.tuples(*[st.integers(0, 2)] * d))
     return dist, matrix, monomial_image(matrix, point), caps, orders
+
+
+@st.composite
+def moderate_tables(draw):
+    """(dist, matrix, target, support_bounds, orders) for an exact table of
+    100 to 400 outcomes of [0, 5]^d, d 4 or 5, with integer weights 0..9
+    (one in ten or so is 0) over their sum, seen through two rows with
+    entries 0-2. The target is the image of an outcome, which may carry no
+    mass; caps near it (some below) come in about half the cases."""
+    d = draw(st.integers(4, 5))
+    matrix = TransformMatrix(draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=d, max_size=d), min_size=2, max_size=2)))
+    rng = draw(st.randoms(use_true_random=False))
+    outcomes = rng.sample(list(itertools.product(range(6), repeat=d)),
+                          draw(st.integers(100, 400)))
+    weights = [rng.randint(0, 9) for _ in outcomes]
+    weights[0] += 1  # a positive total
+    dist = Table({j: Fraction(w, sum(weights)) for j, w in zip(outcomes, weights)})
+    point = rng.choice(outcomes)
+    caps = draw(st.none() | st.tuples(*[st.integers(max(x - 2, 0), x + 3) for x in point]))
+    orders = draw(st.tuples(*[st.integers(0, 2)] * d))
+    return dist, matrix, monomial_image(matrix, point), caps, orders

@@ -34,7 +34,9 @@ from pgflift import (
 from pgflift import conditioning
 from pgflift.conditioning import FiberSolve
 
-from support import attainable_targets, moderate_cases, small_laws, small_queries
+from support import (
+    attainable_targets, moderate_cases, moderate_tables, small_laws, small_queries,
+)
 
 
 class TestPgfOfY:
@@ -172,6 +174,8 @@ class TestClosedFormIsASeparateRoute:
             (Poisson([1.0, 2.0, 0.5]), [[1, 1, 0]], (4,), (1, 1, 1), (3, 4, 2)),
             # rates in the hundreds: a target box of 600
             (Poisson([300.0, 300.0]), [[1, 1]], (600,), (1, 0), None),
+            # a zero column capped at 40: one product by its weight sum
+            (Poisson([3.0, 4.0, 5.0]), [[1, 1, 0]], (20,), (1, 0, 1), (20, 20, 40)),
         ],
     )
     def test_poisson(self, closed_form, dist, rows, target, orders, caps):
@@ -277,6 +281,25 @@ class TestModerateScale:
         if solve.fiber_size <= 2000:
             query = ConditionalQuery(target, orders, caps)
             assert oracle_conditional_moment(dist, matrix, query) == same(generic)
+
+    @given(moderate_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_table_generic_leg_equals_the_oracle(self, case):
+        # exactly, with no closed form; a target reached only by zero-mass
+        # outcomes, or cut off by the caps, raises the oracle's error
+        dist, matrix, target, caps, orders = case
+        solve = FiberSolve(dist, matrix, target, caps)
+        assert solve.closed_form(orders) is None
+        query = ConditionalQuery(target, orders, caps)
+        try:
+            moment = oracle_conditional_moment(dist, matrix, query)
+        except FiberError as err:
+            for read in (lambda: solve.moment(orders), solve.pmf):
+                with pytest.raises(type(err)):
+                    read()
+            return
+        assert solve.moment(orders) == moment
+        assert solve.pmf() == oracle_conditional_pmf(dist, matrix, target, caps)
 
 
 class TestConditionalPmf:

@@ -237,6 +237,9 @@ class TestTable:
     def test_mass_must_be_one(self):
         with pytest.raises(ValueError):
             Table({(0,): "9/10"})
+        # denominators 2 and 3: the total is read over their common multiple
+        with pytest.raises(ValueError, match="got 5/6$"):
+            Table({(0,): "1/2", (1,): "1/3"})
 
     def test_float_mode_mass_tolerance(self):
         Table({(0,): 0.5, (1,): 0.5 + 1e-13}, mode=FLOAT)

@@ -43,6 +43,11 @@ class TestEnumerateFiber:
     @example((TransformMatrix([[1, 0]]), (2,), (None, 0)))  # capped zero column, cap 0
     @example((TransformMatrix([[0, 1], [0, 0]]), (1, 0), (3, None)))  # zero row
     @example((TransformMatrix([[1, 1, 0]]), (3,), (0, 0, 2)))  # caps 0 empty it
+    # the table_verify shape
+    @example((TransformMatrix([[1, 1, 1, 1, 1], [0, 1, 2, 3, 4]]), (12, 24), (5,) * 5))
+    @example((TransformMatrix([[1, 1]]), (8,), (4, 4)))  # a target at the reach: (4, 4) only
+    # capped and uncapped coordinates mixed, a capped zero column among them
+    @example((TransformMatrix([[1, 2, 0, 1], [0, 1, 0, 2]]), (6, 5), (None, 2, 1, None)))
     @settings(max_examples=300, deadline=None)
     def test_equals_the_filtered_box_in_order(self, case):
         # the box: the cap, or the largest target entry, which no coordinate
