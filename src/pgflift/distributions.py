@@ -178,7 +178,8 @@ class Table(Frozen):
             elif len(j) != dim:
                 raise ValueError("table outcomes have unequal lengths")
             p = to_fraction(prob) if mode == EXACT else float(prob)
-            if not 0 <= p < math.inf:
+            # to_fraction raises on nan and inf, so an exact entry needs only its sign
+            if not (p >= 0 if mode == EXACT else 0 <= p < math.inf):
                 raise ValueError(f"probabilities must be nonnegative and finite, got {p}")
             clean[j] = p
         if mode == EXACT:  # one integer sum over the common denominator

@@ -21,6 +21,7 @@ from .core import (
     Coefficient,
     DimensionMismatch,
     ExactModeError,
+    Frozen,
     TruncationError,
     check_bounds,
     check_exponents,
@@ -29,13 +30,14 @@ from .core import (
 )
 
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """One element of the truncated power series ring.
 
-    Immutable by convention: operations return new instances. The constructor
+    An immutable record: operations return new instances. The constructor
     validates that every exponent fits the box, coerces coefficients to the
     declared mode, and drops zeros, so any reachable instance satisfies the
-    storage invariants.
+    storage invariants. Equal series compare equal, but a series holds a
+    dict and is unhashable.
     """
 
     __slots__ = ("bounds", "mode", "terms")
@@ -43,36 +45,25 @@ class TruncatedSeries:
     def __init__(self, bounds: Sequence[int], mode: str = EXACT, terms=None):
         if len(bounds) == 0:
             raise ValueError("a series needs at least one variable")
-        object.__setattr__(self, "bounds", check_bounds(bounds, len(bounds)))
+        bounds = check_bounds(bounds, len(bounds))
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown coefficient mode {mode!r}")
-        object.__setattr__(self, "mode", mode)
         clean = {}
         for exponents, value in (terms or {}).items():
             e = check_exponents(exponents)
-            if len(e) != self.num_vars:
+            if len(e) != len(bounds):
                 raise DimensionMismatch(
                     f"exponent {e} has length {len(e)}, series has "
-                    f"{self.num_vars} variables"
+                    f"{len(bounds)} variables"
                 )
-            if not within_box(e, self.bounds):
+            if not within_box(e, bounds):
                 raise TruncationError(
-                    f"exponent {e} lies outside the truncation box {self.bounds}"
+                    f"exponent {e} lies outside the truncation box {bounds}"
                 )
             c = coerce_coefficient(value, mode)
             if c != 0:
                 clean[e] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __reduce__(self):
-        # pickle and deepcopy would restore the slots through __setattr__
-        return TruncatedSeries, (self.bounds, self.mode, self.terms)
+        super().__init__(bounds, mode, clean)
 
     @property
     def num_vars(self) -> int:
@@ -103,9 +94,6 @@ class TruncatedSeries:
             )
         return self.terms.get(e, self._zero_coeff())
 
-    def constant_term(self) -> Coefficient:
-        return self.terms.get((0,) * self.num_vars, self._zero_coeff())
-
     def partial_derivative(self, var: int, order: int = 1) -> "TruncatedSeries":
         """Differentiate `order` times with respect to variable `var`.
 
@@ -134,32 +122,6 @@ class TruncatedSeries:
             out[shifted] = c * factor
         return TruncatedSeries(new_bounds, self.mode, out)
 
-    def evaluate(self, point: Sequence[Coefficient]) -> Coefficient:
-        """Sum c * prod(point_i ** e_i) over all retained terms."""
-        if len(point) != self.num_vars:
-            raise DimensionMismatch(
-                f"point has length {len(point)}, series has {self.num_vars} variables"
-            )
-        vals = [coerce_coefficient(p, self.mode) for p in point]
-        total = self._zero_coeff()
-        for e, c in self.terms.items():
-            term = c
-            for p, x in zip(vals, e):
-                term *= p**x
-            total += term
-        return total
-
-    # arithmetic
-
-    def __add__(self, other):
-        return linear_combine(1, self, 1, other)
-
-    def __sub__(self, other):
-        return linear_combine(1, self, -1, other)
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, scalar) -> "TruncatedSeries":
         a = coerce_coefficient(scalar, self.mode)
         return TruncatedSeries(
@@ -179,20 +141,6 @@ class TruncatedSeries:
                     out[e] = out.get(e, zero) + c1 * c2
         return TruncatedSeries(self.bounds, self.mode, out)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.bounds == other.bounds
-            and self.mode == other.mode
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
     def __repr__(self):
         body = ", ".join(f"{e}: {c}" for e, c in sorted(self.terms.items()))
         return f"TruncatedSeries(bounds={self.bounds}, mode={self.mode!r}, {{{body}}})"
@@ -207,50 +155,36 @@ def _require_same_ring(s: TruncatedSeries, t: TruncatedSeries):
         raise ValueError(f"cannot mix coefficient modes {s.mode!r} and {t.mode!r}")
 
 
-def linear_combine(alpha, s: TruncatedSeries, beta, t: TruncatedSeries) -> TruncatedSeries:
-    """alpha*S + beta*T for two series in the same ring."""
-    _require_same_ring(s, t)
-    a = coerce_coefficient(alpha, s.mode)
-    b = coerce_coefficient(beta, s.mode)
-    out = dict()
-    zero = s._zero_coeff()
-    for e, c in s.terms.items():
-        out[e] = out.get(e, zero) + a * c
-    for e, c in t.terms.items():
-        out[e] = out.get(e, zero) + b * c
-    return TruncatedSeries(s.bounds, s.mode, out)
-
-
-def exp_truncated(s: TruncatedSeries, split_constant: bool = False):
+def exp_truncated(s: TruncatedSeries) -> TruncatedSeries:
     """Exponential of a series, exact on the truncation box.
 
     With S = c + S0 (S0 the zero-constant part), exp(S) = exp(c) * exp(S0),
     and exp(S0) needs only sum(bounds) powers of S0 inside the box because S0
-    has no constant term. In exact mode a nonzero c has no rational exp(c):
-    pass split_constant=True to receive (c, exp(S0)) and carry the scalar
-    factor yourself, otherwise the call errors. Float mode folds exp(c) in
-    unless split_constant is requested.
+    has no constant term. Float mode folds exp(c) in. In exact mode a nonzero
+    c has no rational exp(c), so the call errors.
     """
-    c = s.constant_term()
     zero_exp = (0,) * s.num_vars
+    c = s.terms.get(zero_exp, 0)
+    if c != 0 and s.mode == EXACT:
+        raise ExactModeError(
+            "exp of a nonzero constant term is irrational; factor "
+            "exp(constant) out and exponentiate the rest"
+        )
     s0 = TruncatedSeries(
         s.bounds, s.mode, {e: v for e, v in s.terms.items() if e != zero_exp}
     )
-    acc = TruncatedSeries.one(s.bounds, s.mode)
-    term = acc
+    term = TruncatedSeries.one(s.bounds, s.mode)
+    acc = dict(term.terms)
     for n in range(1, sum(s.bounds) + 1):
         inv_n = Fraction(1, n) if s.mode == EXACT else 1.0 / n
         term = (term * s0).scale(inv_n)
         if not term.terms:
             break
-        acc = acc + term
-    if split_constant:
-        return c, acc
-    if c != 0:
-        if s.mode == EXACT:
-            raise ExactModeError(
-                "exp of a nonzero constant term is irrational; use "
-                "split_constant=True and carry exp(constant) separately"
-            )
-        acc = acc.scale(math.exp(c))
-    return acc
+        for e, v in term.terms.items():
+            # a cancelled term leaves now and goes last if it returns: the key
+            # order (which later float products sum in) of a sum of series
+            acc[e] = acc.get(e, 0) + v
+            if not acc[e]:
+                del acc[e]
+    out = TruncatedSeries(s.bounds, s.mode, acc)
+    return out.scale(math.exp(c)) if c != 0 else out

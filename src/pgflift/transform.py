@@ -10,8 +10,8 @@ that keeps the source exponent alongside its image so that joint information
 
 Both operations verify first that the input series retains every source term
 that could land inside the requested target box; otherwise retained output
-coefficients would be silently incomplete. Callers that have already
-restricted the source support on purpose can skip the check.
+coefficients would be silently incomplete. A caller of `monomial_substitute`
+that has already restricted the source support on purpose can skip the check.
 """
 
 from collections.abc import Sequence
@@ -36,8 +36,8 @@ def _check_source_coverage(series, matrix, needed):
             raise TruncationError(
                 f"source variable {r} is ignored by the matrix (zero column); "
                 "every source degree maps into the box, so a truncated input "
-                "cannot cover it. Restrict the support explicitly and pass "
-                "check_coverage=False."
+                "cannot cover it. Restrict the support explicitly and call "
+                "monomial_substitute with check_coverage=False."
             )
         if series.bounds[r] < need:
             raise TruncationError(
@@ -83,7 +83,6 @@ def joint_pgf(
     matrix: TransformMatrix,
     source_bounds: Sequence[int],
     target_bounds: Sequence[int],
-    check_coverage: bool = True,
 ) -> TruncatedSeries:
     """Two-block series carrying each source term next to its image.
 
@@ -100,12 +99,9 @@ def joint_pgf(
         )
     tbounds = check_bounds(source_bounds, matrix.num_sources)
     zbounds = check_bounds(target_bounds, matrix.num_targets)
-    if check_coverage:
-        fiber = fiber_degree_bounds(matrix, zbounds)
-        needed = [
-            t if b is None else min(t, b) for t, b in zip(tbounds, fiber)
-        ]
-        _check_source_coverage(series, matrix, needed)
+    fiber = fiber_degree_bounds(matrix, zbounds)
+    needed = [t if b is None else min(t, b) for t, b in zip(tbounds, fiber)]
+    _check_source_coverage(series, matrix, needed)
     out = {}
     for j, c in series.terms.items():
         if not within_box(j, tbounds):

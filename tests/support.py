@@ -91,6 +91,16 @@ def random_series(rng, num_vars=None, degree=6, max_terms=6):
     return TruncatedSeries(bounds, EXACT, terms)
 
 
+def add(a, b):
+    """a + b for two series in the same box and mode: the ring addition
+    that the distributivity checks need and the library does not keep."""
+    assert (a.bounds, a.mode) == (b.bounds, b.mode)
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        terms[e] = terms.get(e, 0) + c
+    return TruncatedSeries(a.bounds, a.mode, terms)
+
+
 def pushforward_case(rng, degree=6):
     """One randomized instance for the substitution-vs-fiber-sum comparison.
 

@@ -99,14 +99,14 @@ class TestPoisson:
 
     def test_normalization_at_truncation_twenty(self):
         g = Poisson([1.0]).pgf((20,))
-        assert abs(g.evaluate([1.0]) - 1.0) < 1e-9
+        assert abs(sum(g.terms.values(), 0.0) - 1.0) < 1e-9
 
     def test_normalization_at_default_truncation_with_reported_tail(self):
         dist = Poisson([1.0, 3.0, 0.25])
         box = dist.default_truncation()
         tail = dist.tail_mass(box)
         assert tail < 1e-12
-        assert abs(dist.pgf().evaluate([1.0] * 3) - 1.0) <= tail + 1e-9
+        assert abs(sum(dist.pgf().terms.values(), 0.0) - 1.0) <= tail + 1e-9
 
     def test_tail_mass_is_honest(self):
         # brute comparison on a deliberately harsh truncation
@@ -207,7 +207,7 @@ class TestMultinomial:
 
     def test_normalization_is_exact(self):
         g = Multinomial(5, ["2/5", "3/5"]).pgf()
-        assert g.evaluate([1, 1]) == 1
+        assert sum(g.terms.values()) == 1
 
     def test_decimal_strings_promote_literally(self):
         dist = Multinomial(1, ["0.3", "0.7"])
@@ -250,11 +250,22 @@ class TestTable:
         with pytest.raises(ValueError):
             Table({(0,): "3/2", (1,): "-1/2"})
 
+    def test_negative_exact_entry_error_text(self):
+        text = "^probabilities must be nonnegative and finite, got -1/2$"
+        with pytest.raises(ValueError, match=text):
+            Table({(0,): "3/2", (1,): "-1/2"})
+
     def test_non_finite_probability_rejected(self):
         # a NaN total passes the mass tolerance check, which compares false
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 Table({(0,): bad, (1,): 1.0}, mode=FLOAT)
+
+    def test_non_finite_float_entry_rejected_in_exact_mode(self):
+        # an exact table tests only the sign, so the conversion must refuse these
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                Table({(0,): bad, (1,): 1.0})
 
     def test_windowed_pgf_drops_outside_terms(self):
         dist = Table({(0,): "1/2", (3,): "1/2"})
@@ -268,4 +279,4 @@ class TestTable:
 
     def test_normalization_is_exact(self):
         dist = Table({(0, 1): "1/6", (2, 2): "1/3", (1, 0): "1/2"})
-        assert dist.pgf().evaluate([1, 1]) == 1
+        assert sum(dist.pgf().terms.values()) == 1

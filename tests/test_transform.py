@@ -50,6 +50,12 @@ class TestMonomialSubstitute:
         with pytest.raises(TruncationError):
             monomial_substitute(g, TransformMatrix([[1, 0]]), (2,))
 
+    def test_zero_column_error_names_the_way_out(self):
+        g = S((2, 2), {(1, 1): 1})
+        hint = "monomial_substitute with check_coverage=False"
+        with pytest.raises(TruncationError, match=hint):
+            monomial_substitute(g, TransformMatrix([[1, 0]]), (2,))
+
     def test_zero_column_allowed_when_caller_vouches(self):
         g = S((2, 2), {(1, 1): 1, (1, 2): 2})
         out = monomial_substitute(
